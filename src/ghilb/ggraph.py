@@ -216,14 +216,28 @@ def verify_count_identity(gg: GGraph) -> bool:
 
 
 def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
-    """All torus-fixed points, by scanning both kinds over the parameter box.
+    """All torus-fixed points, by solving the counting identity for (c, e).
 
     The staircase of a fixed point contains 1, x, ..., x^(alpha-1) with
     pairwise distinct characters, so alpha, beta, gamma are at most |G| and
-    each parameter search range [1, |G|] is exhaustive.  Candidates are
-    pruned by the three character-matching conditions and by the counting
-    identity before the staircase is built, and deduplicated on the minimal
-    generators of the resulting ideal.
+    every parameter lies in [1, |G|].  The counting identity has no c*e
+    term: with t = 2 for kind A and t = 1 for kind B it reads
+
+        |G| = K + p*c + q*e,  p = a+b+d-t,  q = a+d+f-t,
+        K = t^2 - t*(a+b+d+f) + ab + bf + df,
+
+    and p, q >= 1.  A solution with c, e >= 1 needs K + p + q <= |G|, where
+    K + p + q is ab + bf + df - b - f for kind A and ab + bf + df + a + d - 1
+    for kind B; both force b*f <= |G|, so only such pairs (b, f) are listed.
+    Once (a, d) and a pair (b, f) passing the x-axis character match are
+    fixed, the solutions with c, e >= 1 are exactly
+    c = (|G| - K - q*e) / p for the e >= 1 with q*e + p <= |G| - K for which
+    the division is exact.  Walking e over that range visits every candidate
+    of the parameter box that satisfies the identity, so the search is
+    exhaustive.  Each solution must still pass the ranges of beta and gamma,
+    the two remaining character matches and the identity itself; candidates
+    are deduplicated on the minimal generators of the resulting ideal, whose
+    staircase is revalidated by is_ggraph.
     """
     N = G.order
     ci = G.char_index
@@ -232,45 +246,47 @@ def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
     cz = [ci((0, 0, k)) for k in range(N + 1)]
     pairs_by_char: dict[int, list[tuple[int, int]]] = {}
     for b in range(1, N + 1):
-        for f in range(1, N + 1):
+        for f in range(1, N // b + 1):
             pairs_by_char.setdefault(ci((0, b - 1, f - 1)), []).append((b, f))
 
     seen: set[tuple[Monomial, ...]] = set()
     results: list[GGraph] = []
     for kind in ("A", "B"):
         delta = 1 if kind == "A" else 0
+        t = 1 + delta
         for a in range(1, N + 1):
             for d in range(1, N + 1):
                 alpha = a + d - delta
                 if not 1 <= alpha <= N:
                     continue
                 for b, f in pairs_by_char.get(cx[alpha], ()):
-                    for e in range(1, N + 1):
-                        beta = b + e - delta
-                        if not 1 <= beta <= N:
+                    p = a + b + d - t
+                    q = a + d + f - t
+                    rest = N - (t * t - t * (a + b + d + f) + a * b + b * f + d * f)
+                    for e in range(1, (rest - p) // q + 1):
+                        c, remainder = divmod(rest - q * e, p)
+                        if remainder:
                             continue
-                        target_z = ci((a - 1, e - 1, 0))
-                        target_y = cy[beta]
-                        for c in range(1, N + 1):
-                            gamma_exp = c + f - delta
-                            if not 1 <= gamma_exp <= N:
-                                continue
-                            if cz[gamma_exp] != target_z:
-                                continue
-                            if ci((d - 1, 0, c - 1)) != target_y:
-                                continue
-                            params = (a, b, c, d, e, f)
-                            if count_identity_value(kind, params) != N:
-                                continue
-                            ideal = MonomialIdeal.from_generators(
-                                seven_generators(kind, params)
-                            )
-                            if ideal.gens in seen:
-                                continue
-                            seen.add(ideal.gens)
-                            gg = is_ggraph(G, ideal)
-                            if gg is not None:
-                                results.append(gg)
+                        beta = b + e - delta
+                        gamma_exp = c + f - delta
+                        if not (1 <= beta <= N and 1 <= gamma_exp <= N):
+                            continue
+                        if cz[gamma_exp] != ci((a - 1, e - 1, 0)):
+                            continue
+                        if ci((d - 1, 0, c - 1)) != cy[beta]:
+                            continue
+                        params = (a, b, c, d, e, f)
+                        if count_identity_value(kind, params) != N:
+                            continue
+                        ideal = MonomialIdeal.from_generators(
+                            seven_generators(kind, params)
+                        )
+                        if ideal.gens in seen:
+                            continue
+                        seen.add(ideal.gens)
+                        gg = is_ggraph(G, ideal)
+                        if gg is not None:
+                            results.append(gg)
     results.sort(key=lambda gg: gg.gamma)
     return results
 

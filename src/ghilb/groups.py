@@ -3,8 +3,11 @@
 A group element is a weight triple (v1, v2, v3) taken modulo the common
 exponent R; it stands for the diagonal matrix diag(w^v1, w^v2, w^v3) with
 w = exp(2*pi*i/R).  The determinant-one condition reads v1+v2+v3 = 0 mod R.
-Characters are recorded by their value table over the canonically ordered
-elements, so that equality of fingerprints is equality of characters.
+A character is determined by its values on the generators, so it is keyed by
+its pairing with the generator elements: #generators integers mod R.  Its
+public form is the value table (fingerprint) over the canonically ordered
+elements, built once per character, so that equality of fingerprints is
+equality of characters.
 """
 
 from __future__ import annotations
@@ -118,38 +121,53 @@ class AbelianGroup:
         self._element_set = frozenset(self.elements)
         self._build_characters()
 
-    def _fingerprint(self, e: Triple) -> tuple[int, ...]:
+    def _pairing(self, e: Triple, points: tuple[Triple, ...]) -> tuple[int, ...]:
+        """Pairing of the exponent with each of the points, mod R."""
         R = self.R
         l, m, n = e
-        return tuple((l * g1 + m * g2 + n * g3) % R for (g1, g2, g3) in self.elements)
+        return tuple((l * g1 + m * g2 + n * g3) % R for (g1, g2, g3) in points)
 
     def _build_characters(self) -> None:
+        """Find one exponent per character, first in lexicographic order.
+
+        Exponents in [0, R)^3 realize every character, and the scan stops as
+        soon as |G| distinct keys have turned up.
+        """
         R = self.R
-        rep_of_fp: dict[tuple[int, ...], Triple] = {}
-        fp_of_exp: dict[Triple, tuple[int, ...]] = {}
+        gens = self.generator_elements
+        rep_of_key: dict[tuple[int, ...], Triple] = {}
         for e in itertools.product(range(R), repeat=3):
-            fp = self._fingerprint(e)
-            fp_of_exp[e] = fp
-            if fp not in rep_of_fp:
-                rep_of_fp[fp] = e
-        if len(rep_of_fp) != self.order:
+            key = self._pairing(e, gens)
+            if key not in rep_of_key:
+                rep_of_key[key] = e
+                if len(rep_of_key) == self.order:
+                    break
+        if len(rep_of_key) != self.order:
             raise RuntimeError(
-                f"character scan found {len(rep_of_fp)} fingerprints for a group "
+                f"character scan found {len(rep_of_key)} characters for a group "
                 f"of order {self.order}; group construction is inconsistent"
             )
-        fingerprints = sorted(rep_of_fp)
-        self.characters: tuple[Character, ...] = tuple(Character(fp) for fp in fingerprints)
-        self.char_exponents: tuple[Triple, ...] = tuple(rep_of_fp[fp] for fp in fingerprints)
-        index_of_fp = {fp: k for k, fp in enumerate(fingerprints)}
-        self._index_of_expmod = {e: index_of_fp[fp] for e, fp in fp_of_exp.items()}
-        self._index_of_fp = index_of_fp
-        # Index table for products of characters, via fingerprint addition.
+        fp_of_key = {key: self._pairing(e, self.elements) for key, e in rep_of_key.items()}
+        keys = sorted(rep_of_key, key=fp_of_key.__getitem__)
+        self.characters: tuple[Character, ...] = tuple(Character(fp_of_key[k]) for k in keys)
+        self.char_exponents: tuple[Triple, ...] = tuple(rep_of_key[k] for k in keys)
+        index_of_key = {key: k for k, key in enumerate(keys)}
+        self._index_of_fp = {chi.fingerprint: k for k, chi in enumerate(self.characters)}
+        # Index table for products of characters, via key addition.
         self.char_add: tuple[tuple[int, ...], ...] = tuple(
             tuple(
-                index_of_fp[tuple((a + b) % R for a, b in zip(fp1, fp2))]
-                for fp2 in fingerprints
+                index_of_key[tuple((a + b) % R for a, b in zip(key1, key2))]
+                for key2 in keys
             )
-            for fp1 in fingerprints
+            for key1 in keys
+        )
+        # Character index of x^j, y^j and z^j for j in [0, R).
+        self._axis_index = tuple(
+            tuple(
+                index_of_key[self._pairing((j * u1, j * u2, j * u3), gens)]
+                for j in range(R)
+            )
+            for (u1, u2, u3) in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         )
 
     # -- character operations -------------------------------------------------
@@ -157,7 +175,9 @@ class AbelianGroup:
     def char_index(self, e: Triple) -> int:
         """Index of the character carried by the monomial x^l y^m z^n."""
         R = self.R
-        return self._index_of_expmod[(e[0] % R, e[1] % R, e[2] % R)]
+        add = self.char_add
+        tx, ty, tz = self._axis_index
+        return add[add[tx[e[0] % R]][ty[e[1] % R]]][tz[e[2] % R]]
 
     def char_of_monomial(self, e: Triple) -> Character:
         return self.characters[self.char_index(e)]

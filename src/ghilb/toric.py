@@ -1,19 +1,19 @@
 """Toric data of the resolution: lattices, chart cones, fan consistency.
 
-M is the lattice of invariant Laurent exponents, computed as the kernel of
-the character map on Z^3.  N is its dual, which equals Z^3 extended by the
-group's weight vectors divided by R.  Each fixed point carries an affine
-chart whose coordinates lambda, mu, nu are invariant Laurent monomials; the
-rows of the inverse transpose of their exponent matrix are the rays of the
-chart cone.  Smoothness of a chart is |det| = |G|, and crepancy is every
-ray sitting at lattice height one (coordinate sum one).
+M is the lattice of invariant Laurent exponents, the kernel of the character
+map on Z^3.  N is its dual, which equals Z^3 extended by the group's weight
+vectors divided by R; M is computed from the Hermite normal form of N.  Each
+fixed point carries an affine chart whose coordinates lambda, mu, nu are
+invariant Laurent monomials; the rows of the inverse transpose of their
+exponent matrix are the rays of the chart cone.  Smoothness of a chart is
+|det| = |G|, and crepancy is every ray sitting at lattice height one
+(coordinate sum one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from . import linalg
@@ -84,13 +84,21 @@ def _dot(u, v) -> Fraction:
 
 
 def lattices(G: AbelianGroup) -> LatticePair:
-    """Compute M as the kernel lattice of the character map and N as its dual."""
+    """Compute N from the group's weight vectors and M as its dual.
+
+    R*N is spanned by R*Z^3 and the generator elements; M = R * (R*N)^(-T),
+    brought to Hermite normal form as the canonical basis of M.
+    """
     R = G.R
-    rows = [[R, 0, 0], [0, R, 0], [0, 0, R]]
-    for e in product(range(R), repeat=3):
-        if G.char_index(e) == 0:
-            rows.append(list(e))
-    m_basis = linalg.hnf(rows)
+    rn_basis = linalg.hnf(
+        [[R, 0, 0], [0, R, 0], [0, 0, R]] + [list(g) for g in G.generator_elements]
+    )
+    m_rows = [
+        [R * x for x in row] for row in linalg.transpose(linalg.invert(rn_basis))
+    ]
+    if any(x.denominator != 1 for row in m_rows for x in row):
+        raise RuntimeError(f"dual of R*N scaled by R = {R} is not integral")
+    m_basis = linalg.hnf([[int(x) for x in row] for row in m_rows])
     if len(m_basis) != 3:
         raise RuntimeError("invariant lattice is not full rank")
     det_m = linalg.det_dense(m_basis)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ghilb.cli import main
+from ghilb.groups import group_from_text
 
 
 def run(capsys, *argv):
@@ -52,6 +53,19 @@ def test_fan_command(capsys):
     assert len(payload["cones"]) == 3
     assert ["1/3", "1/3", "1/3"] in payload["rays"]
     assert all(flag["smooth"] and flag["crepant"] for flag in payload["charts"])
+
+
+# Orders about 100: a return to scanning [0, R)^3 or the full parameter box
+# makes these take minutes instead of about a second.
+@pytest.mark.parametrize("spec", ["101:1,2,98", "10:1,3,6;10:0,1,9"])
+def test_fan_command_at_order_one_hundred(capsys, spec):
+    code, out, _ = run(capsys, "fan", "--group", spec)
+    assert code == 0
+    payload = json.loads(out)
+    G = group_from_text(spec)
+    assert len(payload["charts"]) == len(payload["cones"]) == G.order
+    assert all(flag["smooth"] and flag["crepant"] for flag in payload["charts"])
+    assert len(payload["rays"]) == 3 + len(G.junior_elements())
 
 
 @pytest.mark.parametrize("spec", ["7:1,2,4", "3:1,1,1"])

@@ -1,5 +1,6 @@
 import pytest
 
+from _oracles import enumerate_fixed_points_scan
 from conftest import SUITE_3D, get_fixed_points, get_group
 from ghilb.ggraph import (
     GGraph,
@@ -111,6 +112,28 @@ def test_enumeration_matches_oracle(spec, order):
     fps = get_fixed_points(spec)
     oracle = brute_force_fixed_points(G)
     assert [gg.to_json() for gg in fps] == [gg.to_json() for gg in oracle]
+
+
+# Cyclic orders 17-23 lie above the oracle cap, where the scan is the only
+# independent enumeration; 18:1,17,0 is not an isolated singularity.
+SCAN_SPECS = [spec for spec, _ in SUITE_3D] + [
+    "17:1,2,14",
+    "18:1,17,0",
+    "19:1,7,11",
+    "20:1,2,17",
+    "21:1,3,17",
+    "22:1,9,12",
+    "23:1,4,18",
+    "4:1,3,0;4:0,1,3",
+]
+
+
+@pytest.mark.parametrize("spec", SCAN_SPECS)
+def test_enumeration_matches_parameter_box_scan(spec):
+    fast = [gg.to_json() for gg in get_fixed_points(spec)]
+    scan = [gg.to_json() for gg in enumerate_fixed_points_scan(get_group(spec))]
+    assert fast == scan
+    assert len(fast) == get_group(spec).order
 
 
 def test_oracle_cap_enforced():

@@ -1,13 +1,17 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _oracles import character_scan, fingerprint
 from conftest import SUITE_3D, get_group
+from ghilb.cli import main
 from ghilb.groups import AbelianGroup, GroupSpec, GroupSpecError
 
 EXP = st.integers(min_value=-20, max_value=20)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_parse_roundtrip():
@@ -125,3 +129,40 @@ def test_junior_of_involution():
     G = get_group("2:1,1,0")
     assert G.junior_elements() == ((1, 1, 0),)
     assert G.age((1, 1, 0)) == Fraction(1)
+
+
+@st.composite
+def small_specs(draw):
+    """Valid specs of one or two generators whose common exponent R is at most 12."""
+    R = draw(st.integers(min_value=2, max_value=12))
+    chunks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        r = draw(st.sampled_from([d for d in range(2, R + 1) if R % d == 0]))
+        w1 = draw(st.integers(min_value=0, max_value=r - 1))
+        w2 = draw(st.integers(min_value=0, max_value=r - 1))
+        chunks.append((r, w1, w2, (-w1 - w2) % r))
+    assume(any(w1 or w2 for _, w1, w2, _ in chunks))
+    return ";".join(f"{r}:{w1},{w2},{w3}" for r, w1, w2, w3 in chunks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_characters_match_fingerprints_and_full_scan(data):
+    G = AbelianGroup(GroupSpec.parse(data.draw(small_specs())))
+    R = G.R
+    exponent = st.integers(min_value=-R, max_value=2 * R - 1)
+    for e in data.draw(st.lists(st.tuples(exponent, exponent, exponent), min_size=1, max_size=40)):
+        assert G.characters[G.char_index(e)].fingerprint == fingerprint(G, e)
+    fingerprints, exponents = character_scan(G)
+    assert [chi.fingerprint for chi in G.characters] == fingerprints
+    assert list(G.char_exponents) == exponents
+
+
+@pytest.mark.parametrize(
+    "spec,golden",
+    [("3:1,2,0;3:0,1,2", "group_3-1-2-0_3-0-1-2.json"), ("13:1,3,9", "group_13-1-3-9.json")],
+)
+def test_group_json_matches_golden(spec, golden, tmp_path):
+    out = tmp_path / "group.json"
+    assert main(["group", "--group", spec, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()

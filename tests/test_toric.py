@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import lattices_scan
 from conftest import SUITE_3D, get_cones, get_fixed_points, get_group, get_lattices
 from ghilb import linalg
 from ghilb.toric import (
@@ -176,5 +177,6 @@ def test_fan_json_shape():
 
 
 def test_lattices_standalone_construction():
-    pair = lattices(get_group("6:1,2,3"))
-    assert pair.group_order == 6
+    for spec in [spec for spec, _ in SUITE_3D] + ["6:1,5,0;6:0,1,5"]:
+        G = get_group(spec)
+        assert lattices(G) == lattices_scan(G)
