@@ -3,7 +3,14 @@
 Subcommands: group, quiver, fixed-points, fan, verify.  All outputs are
 UTF-8 JSON on stdout (plus optional files), except the quiver DOT source
 which can be written separately.  Exit codes: 0 success, 1 verification
-failure, 2 input error.
+failure, 2 input error (a bad group spec or option, or an output path that
+cannot be written), 3 internal fault (any other exception, reported as a
+JSON record {"error": {"type", "message"}}).
+
+``main`` is the in-process entry: it returns 0, 1 or 2 and lets an internal
+fault propagate, so a caller that embeds the CLI sees the exception itself.
+``console_main`` is the process entry (the ``ghilb`` script and ``python -m
+ghilb.cli``); it turns such a fault into exit 3.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ class RunConfig:
             raise ValueError("oracle cap must be at least 1")
         if self.samples < 0:
             raise ValueError("sample count must be nonnegative")
+        if self.max_pairs is not None and self.max_pairs < 0:
+            raise ValueError("pair cap must be nonnegative")
 
 
 def _group(config: RunConfig) -> AbelianGroup:
@@ -59,9 +68,6 @@ def cmd_quiver(config: RunConfig) -> tuple[int, dict]:
     G = _group(config)
     a0, a1, a2, a3 = mckay.mckay_matrices(G)
     dot = mckay.quiver_dot(G)
-    if config.dot_path:
-        with open(config.dot_path, "w", encoding="utf-8") as handle:
-            handle.write(dot + "\n")
     payload = {
         "matrices": {"a0": a0, "a1": a1, "a2": a2, "a3": a3},
         "intersection": mckay.intersection_matrix(G),
@@ -170,6 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -183,18 +199,35 @@ def main(argv: list[str] | None = None) -> int:
             max_pairs=args.max_pairs,
             dot_path=getattr(args, "dot", None),
         )
+    except ValueError as exc:
+        return _input_error(exc)
+    try:
         code, payload = COMMANDS[args.command](config)
-    except (GroupSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except GroupSpecError as exc:
+        return _input_error(exc)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    try:
+        if config.dot_path:
+            _write(config.dot_path, payload["dot"] + "\n")
+        if config.out_path:
+            _write(config.out_path, text)
+    except OSError as exc:
+        return _input_error(exc)
+    if not config.out_path:
         sys.stdout.write(text)
     return code
 
 
+def console_main(argv: list[str] | None = None) -> int:
+    """``main`` with an internal fault reported as exit 3 and a JSON record."""
+    try:
+        return main(argv)
+    except Exception as exc:  # the input was valid, so the fault is ours
+        record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

@@ -1,221 +1,99 @@
-"""Exact linear algebra over the rationals for small matrices.
+"""Exact linear algebra: one sparse elimination kernel, HNF and 3x3 closed forms.
 
-Matrices are lists of row lists holding ints or Fractions.  Everything here
-is exact; no floating point is used anywhere in the package.
+``rank_sparse`` is the package's only elimination.  It takes rows as dicts
+column -> value holding ints or Fractions, scales each row to a primitive
+integer row (which does not change the rank) and eliminates with integer
+row operations, so no quotient is ever formed.  ``hnf`` is the integer row
+Hermite normal form used for the lattices; ``det3`` and ``adjugate3`` are
+the closed-form 3x3 determinant and adjugate of the chart and lattice
+bases.  Everything here is exact; no floating point is used anywhere in the
+package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def rank_sparse(rows: list[dict[int, object]], ncols: int) -> int:
+    """Rank over Q of a sparse matrix given as dicts column -> int or Fraction.
+
+    Rows are reduced one at a time against the pivot rows found so far, each
+    keyed by its leading (smallest) column.  Only rows that share a column
+    are ever combined, so the elimination never fills across blocks of a
+    block-diagonal matrix.  ncols bounds the column indices and is not
+    otherwise needed.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _primitive(row)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row = _eliminate(row, pivot, lead)
+    return len(pivots)
 
 
-def mat_mul(a, b) -> list[list[Fraction]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
-    return out
+def _primitive(row: dict) -> dict[int, int]:
+    """The row scaled to coprime integers, with its zero entries dropped."""
+    denom = lcm(*(v.denominator for v in row.values()))
+    row = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
+    content = gcd(*row.values())
+    if content > 1:
+        row = {c: v // content for c, v in row.items()}
+    return row
 
 
-def mat_sub(a, b) -> list[list[Fraction]]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _eliminate(row: dict[int, int], pivot: dict[int, int], lead: int) -> dict[int, int]:
+    """a*row - b*pivot, made primitive, where a and b cancel the lead column.
 
-
-def transpose(a) -> list[list]:
-    return [list(col) for col in zip(*a)]
+    The row is owned by the caller's loop and is updated in place when a = 1.
+    """
+    a, b = pivot[lead], row[lead]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in pivot.items():
+        value = row.get(c, 0) - b * v
+        if value:
+            row[c] = value
+        else:
+            del row[c]
+    content = gcd(*row.values())
+    if content > 1:
+        row = {c: v // content for c, v in row.items()}
+    return row
 
 
 def rank_dense(mat) -> int:
-    """Rank by fraction Gaussian elimination on a copy."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        rows[rank] = prow = [x * inv for x in prow]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], prow)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def det_dense(mat) -> Fraction:
-    """Determinant by fraction Gaussian elimination on a copy."""
-    n = len(mat)
-    rows = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        prow = [x * inv for x in rows[col]]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], prow)]
-    return det
-
-
-def invert(mat) -> list[list[Fraction]]:
-    """Inverse by Gauss-Jordan; raises ValueError on a singular matrix."""
-    n = len(mat)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
-
-
-def kernel_dense(mat) -> list[list[Fraction]]:
-    """Basis of the right kernel, via reduced row echelon form."""
+    """Rank of a dense list-of-rows matrix, through rank_sparse."""
     if not mat:
-        return []
-    ncols = len(mat[0])
-    rows = [[Fraction(x) for x in row] for row in mat]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
-        basis.append(vec)
-    return basis
+        return 0
+    return rank_sparse([{j: x for j, x in enumerate(row) if x} for row in mat], len(mat[0]))
 
 
-class EchelonBasis:
-    """Incrementally reduced basis of a subspace of Q^n."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: list[list[Fraction]] = []
-        self.pivot_of_row: list[int] = []
-
-    def add(self, vec) -> bool:
-        """Reduce vec against the basis; insert and return True if independent."""
-        vec = [Fraction(x) for x in vec]
-        for row, pivot in zip(self.rows, self.pivot_of_row):
-            if vec[pivot]:
-                factor = vec[pivot]
-                vec = [x - factor * y for x, y in zip(vec, row)]
-        pivot = next((j for j in range(self.n) if vec[j]), None)
-        if pivot is None:
-            return False
-        inv = 1 / vec[pivot]
-        self.rows.append([x * inv for x in vec])
-        self.pivot_of_row.append(pivot)
-        return True
-
-    def dim(self) -> int:
-        return len(self.rows)
+def det3(m):
+    """Determinant of a 3x3 matrix of ints or Fractions, by cofactor expansion."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def rank_sparse(rows: list[dict[int, Fraction]], ncols: int) -> int:
-    """Rank of a sparse matrix given as dicts column -> value.
+# The acceptance gate's name for the chart determinant.
+det_dense = det3
 
-    Pivot columns are chosen from the shortest remaining rows first, which
-    keeps fill-in low on near-incidence matrices.
-    """
-    col_to_rows: dict[int, set[int]] = {}
-    live = {}
-    for idx, row in enumerate(rows):
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        if row:
-            live[idx] = row
-            for c in row:
-                col_to_rows.setdefault(c, set()).add(idx)
-    rank = 0
-    import heapq
 
-    heap = [(len(r), idx) for idx, r in live.items()]
-    heapq.heapify(heap)
-    eliminated_cols: set[int] = set()
-    while heap:
-        _, idx = heapq.heappop(heap)
-        row = live.get(idx)
-        if row is None:
-            continue
-        pivot_col = next((c for c in row if c not in eliminated_cols), None)
-        if pivot_col is None:  # stale heap entry
-            continue
-        rank += 1
-        eliminated_cols.add(pivot_col)
-        pivot_val = row[pivot_col]
-        del live[idx]
-        col_to_rows[pivot_col].discard(idx)
-        for other_idx in list(col_to_rows.get(pivot_col, ())):
-            other = live.get(other_idx)
-            if other is None or pivot_col not in other:
-                col_to_rows[pivot_col].discard(other_idx)
-                continue
-            factor = other[pivot_col] / pivot_val
-            for c, v in row.items():
-                nv = other.get(c, Fraction(0)) - factor * v
-                if nv:
-                    other[c] = nv
-                    col_to_rows.setdefault(c, set()).add(other_idx)
-                elif c in other:
-                    del other[c]
-                    col_to_rows[c].discard(other_idx)
-            if not other:
-                del live[other_idx]
-            else:
-                heapq.heappush(heap, (len(other), other_idx))
-    return rank
+def adjugate3(m) -> list[list]:
+    """Adjugate of a 3x3 matrix: adjugate3(m) times m is det3(m) times I."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return [
+        [e * i - f * h, c * h - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -247,91 +125,3 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
                 mat[r] = [a - q * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return [row for row in mat[:rank] if any(row)]
-
-
-def charpoly(mat) -> list[Fraction]:
-    """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier scheme.
-
-    Returns coefficients [c_n, ..., c_0] with c_n = 1, highest degree first.
-    """
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    coeffs = [Fraction(1)]
-    m = identity(n)
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(c)
-        for i in range(n):
-            m[i][i] += c
-    return coeffs
-
-
-def rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
-    """All roots of the polynomial if it splits over Q, else None.
-
-    coeffs are highest degree first.  Roots are returned with multiplicity.
-    Root candidates come from the rational root theorem applied to the
-    primitive integer form, deflating after each hit.
-    """
-    work = list(coeffs)
-    roots: list[Fraction] = []
-    while len(work) > 1:
-        while len(work) > 1 and work[-1] == 0:
-            roots.append(Fraction(0))
-            work.pop()
-        if len(work) == 1:
-            break
-        denom = 1
-        for c in work:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in work]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        ints = [v // g for v in ints]
-        lead, const = abs(ints[0]), abs(ints[-1])
-        if const > 10**12 or lead > 10**12:
-            return None  # divisor enumeration would be too costly
-        root = None
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(work, cand) == 0:
-                        root = cand
-                        break
-                if root is not None:
-                    break
-            if root is not None:
-                break
-        if root is None:
-            return None
-        roots.append(root)
-        work = _deflate(work, root)
-    return roots
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs, root: Fraction) -> list[Fraction]:
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + out[-1] * root)
-    return out

@@ -83,6 +83,19 @@ def _dot(u, v) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
+def inverse_transpose(mat) -> list[list[Fraction]]:
+    """(mat^-1)^T of a 3x3 integer matrix: its cofactors over its determinant.
+
+    Its rows form the basis dual to the rows of mat.  Raises ValueError on a
+    singular matrix.
+    """
+    det = linalg.det3(mat)
+    if det == 0:
+        raise ValueError("matrix is singular")
+    adj = linalg.adjugate3(mat)
+    return [[Fraction(adj[j][i], det) for j in range(3)] for i in range(3)]
+
+
 def lattices(G: AbelianGroup) -> LatticePair:
     """Compute N from the group's weight vectors and M as its dual.
 
@@ -93,21 +106,18 @@ def lattices(G: AbelianGroup) -> LatticePair:
     rn_basis = linalg.hnf(
         [[R, 0, 0], [0, R, 0], [0, 0, R]] + [list(g) for g in G.generator_elements]
     )
-    m_rows = [
-        [R * x for x in row] for row in linalg.transpose(linalg.invert(rn_basis))
-    ]
+    m_rows = [[R * x for x in row] for row in inverse_transpose(rn_basis)]
     if any(x.denominator != 1 for row in m_rows for x in row):
         raise RuntimeError(f"dual of R*N scaled by R = {R} is not integral")
     m_basis = linalg.hnf([[int(x) for x in row] for row in m_rows])
     if len(m_basis) != 3:
         raise RuntimeError("invariant lattice is not full rank")
-    det_m = linalg.det_dense(m_basis)
+    det_m = linalg.det3(m_basis)
     if abs(det_m) != G.order:
         raise RuntimeError(
             f"index of the invariant lattice is {abs(det_m)}, expected {G.order}"
         )
-    n_rows = linalg.transpose(linalg.invert(m_basis))
-    n_basis = tuple(tuple(x for x in row) for row in n_rows)
+    n_basis = tuple(tuple(row) for row in inverse_transpose(m_basis))
     for row in n_basis:
         for x in row:
             if G.R % x.denominator != 0:
@@ -145,7 +155,7 @@ def chart_dual_generators(gg: GGraph) -> tuple[Vector, Vector, Vector]:
 def check_smooth(pair: LatticePair, cone_or_gens) -> bool:
     """True iff the dual generators span a sublattice of index |G| in Z^3."""
     gens = getattr(cone_or_gens, "dual_gens", cone_or_gens)
-    return abs(linalg.det_dense([list(v) for v in gens])) == pair.group_order
+    return abs(linalg.det3(gens)) == pair.group_order
 
 
 def dual_rays(pair: LatticePair, dual_gens) -> tuple[RayVec, RayVec, RayVec]:
@@ -154,8 +164,7 @@ def dual_rays(pair: LatticePair, dual_gens) -> tuple[RayVec, RayVec, RayVec]:
     Each ray must be a primitive element of N with nonnegative coordinates
     summing to one; a violation is a failure of crepancy and raised loudly.
     """
-    inv_t = linalg.transpose(linalg.invert([list(v) for v in dual_gens]))
-    rays = tuple(tuple(x for x in row) for row in inv_t)
+    rays = tuple(tuple(row) for row in inverse_transpose(dual_gens))
     for ray in rays:
         coords = pair.n_coordinates(ray)
         if coords is None:
@@ -180,7 +189,7 @@ def chart_cone(G: AbelianGroup, pair: LatticePair, gg: GGraph, owner: int) -> Ch
         if not pair.in_m(v):
             raise ChartError(f"chart exponent {v} is not in M")
     if not check_smooth(pair, gens):
-        det = linalg.det_dense([list(v) for v in gens])
+        det = linalg.det3(gens)
         raise ChartError(
             f"chart of fixed point {owner} has |det| = {abs(det)}, expected {pair.group_order}"
         )

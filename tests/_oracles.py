@@ -12,13 +12,18 @@ elimination; no syzygy bookkeeping is shared with the production route.
 enumerate_fixed_points_scan, character_scan and lattices_scan: the direct
 scans over the six-parameter box and over [0, R)^3 that the enumeration, the
 character table and the lattice construction replace.
+
+rank_dense, kernel_dense, mat_mul and dense: dense Fraction Gaussian
+elimination and matrix products, against which the package's one sparse
+kernel (linalg.rank_sparse) and its sparse Koszul differentials are checked.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
-from ghilb import linalg
+from ghilb import linalg, toric
 from ghilb.ggraph import (
     GGraph,
     MonomialIdeal,
@@ -150,9 +155,80 @@ def lattices_scan(G: AbelianGroup) -> LatticePair:
         if not any(fingerprint(G, e)):
             rows.append(list(e))
     m_basis = linalg.hnf(rows)
-    n_rows = linalg.transpose(linalg.invert(m_basis))
     return LatticePair(
-        n_basis=tuple(tuple(row) for row in n_rows),
+        n_basis=tuple(tuple(row) for row in toric.inverse_transpose(m_basis)),
         m_basis=tuple(tuple(row) for row in m_basis),
         group_order=G.order,
     )
+
+
+def rank_dense(mat) -> int:
+    """Rank by fraction Gaussian elimination on a copy."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        inv = 1 / prow[col]
+        rows[rank] = prow = [x * inv for x in prow]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], prow)]
+        rank += 1
+        col += 1
+    return rank
+
+
+def kernel_dense(mat) -> list[list[Fraction]]:
+    """Basis of the right kernel, via reduced row echelon form."""
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    rows = [[Fraction(x) for x in row] for row in mat]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -rows[r][f]
+        basis.append(vec)
+    return basis
+
+
+def mat_mul(a, b) -> list[list[Fraction]]:
+    """Dense product of two list-of-rows matrices."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def dense(rows: list[dict], ncols: int) -> list[list]:
+    """The dense list-of-rows form of sparse rows {column: value}."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]

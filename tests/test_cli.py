@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ghilb.cli import main
+from ghilb.cli import console_main, main
 from ghilb.groups import group_from_text
 
 
@@ -105,3 +105,73 @@ def test_out_file_written(capsys, tmp_path):
 def test_bad_flag_values_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--group", "3:1,1,1", "--oracle-cap", "0")
     assert code == 2
+
+
+def test_verify_with_no_work_is_never_ok(capsys):
+    code, out, err = run(
+        capsys, "verify", "--group", "7:1,2,4", "--max-pairs", "0", "--samples", "0"
+    )
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["koszul_pairs"]["details"]["checked"] == 0
+    assert checks["koszul_pairs"]["details"]["total"] == 49
+    assert checks["chart_samples"]["details"]["checked"] == 0
+    assert checks["chart_samples"]["details"]["total"] == 0
+    assert checks["oracle_agreement"]["details"]["checked"] == 7
+    lines = {line.split()[1]: line.split()[0] for line in err.splitlines() if line.startswith("  ")}
+    assert lines["koszul_pairs"] == "empty"
+    assert lines["chart_samples"] == "empty"
+    assert lines["oracle_agreement"] == "ok"
+
+
+def test_skipped_oracle_is_not_ok(capsys):
+    code, _, err = run(capsys, "verify", "--group", "3:1,1,1", "--oracle-cap", "2")
+    assert code == 0
+    assert "  skip  oracle_agreement (0/3)" in err
+
+
+def test_bad_spec_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "--group", "7:1,2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    from ghilb import toric
+
+    def singular(G):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(toric, "lattices", singular)
+    with pytest.raises(ValueError, match="matrix is singular"):
+        main(["fan", "--group", "3:1,1,1"])
+    assert capsys.readouterr().out == ""
+    code = console_main(["fan", "--group", "3:1,1,1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out) == {"error": {"type": "ValueError", "message": "matrix is singular"}}
+    assert captured.err == "internal error: ValueError: matrix is singular\n"
+
+
+def test_console_main_keeps_the_other_exit_codes(capsys):
+    assert console_main(["group", "--group", "7:1,2,4"]) == 0
+    assert console_main(["verify", "--group", "7:1,2"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--dot", "--out"])
+def test_unwritable_output_path_exits_two(capsys, tmp_path, flag):
+    path = tmp_path / "missing" / "q.out"
+    code = console_main(["quiver", "--group", "2:1,1,0", flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "q.out" in captured.err
+
+
+def test_negative_pair_cap_exits_two(capsys):
+    # rejected with the options, before it can reach random.sample
+    code, out, err = run(capsys, "verify", "--group", "3:1,1,1", "--max-pairs", "-1")
+    assert code == 2
+    assert out == ""
+    assert "pair cap" in err

@@ -1,10 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
 
+from _oracles import dense, mat_mul, rank_dense
 from conftest import SUITE_3D, get_cones, get_fixed_points, get_group
-from ghilb import linalg
 from ghilb.verify import seeded_rng
 from ghilb.koszul import (
     ChartPoint,
@@ -17,8 +16,8 @@ from ghilb.koszul import (
     koszul_differentials,
     koszul_homology,
     krylov_dim,
-    orbit_spectrum_check,
     sample_chart_points,
+    support_check,
     verify_adhm,
 )
 
@@ -120,6 +119,23 @@ def test_nil_complex_exact_at_invertible_points():
             assert cpxnil_homology(rep) == (0, 0, 0, 0)
 
 
+def test_invertibility_needs_a_permutation():
+    # every coefficient nonzero, but two columns of B1 hit the same line
+    G, rep = _rep_at("3:1,1,1", 1, (1, 2, 3))
+    assert all_b_invertible(rep)
+    b1 = [list(row) for row in rep.b[0]]
+    target = next(r for r in range(3) if b1[r][0])
+    other = next(r for r in range(3) if b1[r][1])
+    b1[target][1], b1[other][1] = b1[other][1], 0
+    collapsed = ModuleRep(
+        gg=rep.gg,
+        coords=rep.coords,
+        b=(tuple(tuple(r) for r in b1), rep.b[1], rep.b[2]),
+        i_vec=rep.i_vec,
+    )
+    assert not all_b_invertible(collapsed)
+
+
 def test_nil_complex_at_fixed_point():
     G = get_group("3:1,1,1")
     gg = get_fixed_points("3:1,1,1")[0]
@@ -132,10 +148,12 @@ def test_nil_complex_at_fixed_point():
 
 def test_nil_complex_transpose_symmetry():
     G, rep = _rep_at("3:1,1,1", 0, (0, 0, 0))
-    d3, d2, d1 = cpxnil_differentials(rep)
     n = len(rep.i_vec)
-    r3, r2, r1 = (linalg.rank_dense(d) for d in (d3, d2, d1))
-    t3, t2, t1 = (linalg.rank_dense(linalg.transpose(d)) for d in (d3, d2, d1))
+    d3, d2, d1 = (
+        dense(d, ncols) for d, ncols in zip(cpxnil_differentials(rep), (n, 3 * n, 3 * n))
+    )
+    r3, r2, r1 = (rank_dense(d) for d in (d3, d2, d1))
+    t3, t2, t1 = (rank_dense(list(zip(*d))) for d in (d3, d2, d1))
     assert (r3, r2, r1) == (t3, t2, t1)
     h = cpxnil_homology(rep)
     # homology of the transposed complex, read off the same ranks
@@ -145,17 +163,19 @@ def test_nil_complex_transpose_symmetry():
 
 def test_differentials_compose_to_zero():
     G, rep = _rep_at("2:1,1,0;2:1,0,1", 2, (2, 3, 5))
-    d3, d2, d1 = cpxnil_differentials(rep)
-    assert not any(any(row) for row in linalg.mat_mul(d2, d3))
-    assert not any(any(row) for row in linalg.mat_mul(d1, d2))
+    n = len(rep.i_vec)
+    widths = (n, 3 * n, 3 * n)
+    d3, d2, d1 = (dense(d, w) for d, w in zip(cpxnil_differentials(rep), widths))
+    assert not any(any(row) for row in mat_mul(d2, d3))
+    assert not any(any(row) for row in mat_mul(d1, d2))
     other = fixed_point_rep(
         get_group("2:1,1,0;2:1,0,1"),
         get_fixed_points("2:1,1,0;2:1,0,1")[0],
         cone=get_cones("2:1,1,0;2:1,0,1")[0],
     )
-    k3, k2, k1 = koszul_differentials(G, rep, other)
-    assert not any(any(row) for row in linalg.mat_mul(k2, k3))
-    assert not any(any(row) for row in linalg.mat_mul(k1, k2))
+    k3, k2, k1 = (dense(d, w) for d, w in zip(koszul_differentials(G, rep, other), widths))
+    assert not any(any(row) for row in mat_mul(k2, k3))
+    assert not any(any(row) for row in mat_mul(k1, k2))
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
@@ -188,20 +208,95 @@ def test_same_chart_distinct_points_are_exact():
             assert koszul_homology(G, rep1, rep2) == (0, 0, 0, 0)
 
 
-def test_orbit_spectrum_split_case():
-    # lambda = 4 makes the eigenvalues of t1*B1 + t2*B2 + t3*B3 rational
+def _involution_x_rep(coords):
     spec = "2:1,1,0"
     x_index = next(
         k for k, gg in enumerate(get_fixed_points(spec)) if (1, 0, 0) in gg.gamma
     )
-    G, rep = _rep_at(spec, x_index, (4, 1, 1))
-    assert orbit_spectrum_check(G, rep, random.Random(5)) == "pass"
+    return _rep_at(spec, x_index, coords)
 
 
-def test_orbit_spectrum_skipped_case():
-    spec = "2:1,1,0"
-    x_index = next(
-        k for k, gg in enumerate(get_fixed_points(spec)) if (1, 0, 0) in gg.gamma
+def test_support_check_rational_spectrum_case():
+    # lambda = 4 gave a split characteristic polynomial to the retired orbit check
+    G, rep = _involution_x_rep((4, 1, 1))
+    assert support_check(G, rep)
+
+
+def test_support_check_irrational_spectrum_case():
+    # lambda = 2/3 has irrational eigenvalues +-sqrt(2/3); the retired orbit
+    # check could only skip it
+    G, rep = _involution_x_rep((Fraction(2, 3), 1, 1))
+    assert support_check(G, rep)
+
+
+@pytest.mark.parametrize("spec,order", SUITE_3D)
+def test_support_check_decides_chart_samples_and_fixed_points(spec, order):
+    G = get_group(spec)
+    for k, gg in enumerate(get_fixed_points(spec)):
+        cone = get_cones(spec)[k]
+        assert not support_check(G, fixed_point_rep(G, gg, cone=cone))
+        for point in sample_chart_points(gg, 5, seeded_rng(0, k)):
+            assert support_check(G, build_rep(G, point, cone=cone))
+
+
+def _rescaled(rep, alpha, col, factor):
+    """The module with the one nonzero entry of column col of B_alpha scaled."""
+    mats = [[list(row) for row in mat] for mat in rep.b]
+    row = next(r for r in range(len(rep.i_vec)) if mats[alpha][r][col])
+    mats[alpha][row][col] *= factor
+    return ModuleRep(
+        gg=rep.gg,
+        coords=rep.coords,
+        b=tuple(tuple(tuple(r) for r in mat) for mat in mats),
+        i_vec=rep.i_vec,
     )
-    G, rep = _rep_at(spec, x_index, (Fraction(2, 3), 1, 1))
-    assert orbit_spectrum_check(G, rep, random.Random(5)) == "skipped"
+
+
+@pytest.mark.parametrize("spec", ["2:1,1,0", "3:1,1,1", "7:1,2,4", "2:1,1,0;2:1,0,1"])
+def test_support_check_fails_on_one_rescaled_coefficient(spec):
+    G = get_group(spec)
+    gg = get_fixed_points(spec)[0]
+    point = sample_chart_points(gg, 1, seeded_rng(3))[0]
+    rep = build_rep(G, point, cone=get_cones(spec)[0])
+    assert support_check(G, rep)
+    for alpha in range(3):
+        for col in range(G.order):
+            assert not support_check(G, _rescaled(rep, alpha, col, Fraction(2)))
+            assert not support_check(G, _rescaled(rep, alpha, col, -1))
+
+
+def test_off_pattern_entry_is_refused():
+    # one nonzero entry moved to the wrong row: still a generalized
+    # permutation matrix, but off its character line
+    G, rep = _rep_at("3:1,1,1", 1, (1, 2, 3))
+    mats = [[list(row) for row in mat] for mat in rep.b]
+    col = 0
+    row = next(r for r in range(3) if mats[0][r][col])
+    mats[0][(row + 1) % 3][col], mats[0][row][col] = mats[0][row][col], 0
+    moved = ModuleRep(
+        gg=rep.gg,
+        coords=rep.coords,
+        b=tuple(tuple(tuple(r) for r in mat) for mat in mats),
+        i_vec=rep.i_vec,
+    )
+    assert not verify_adhm(moved)
+    with pytest.raises(RuntimeError, match="character-shift pattern"):
+        koszul_homology(G, moved, rep)
+    with pytest.raises(RuntimeError, match="character-shift pattern"):
+        koszul_homology(G, rep, moved)
+
+
+def test_all_pairs_at_order_nineteen():
+    spec = "19:1,7,11"
+    G = get_group(spec)
+    fps = get_fixed_points(spec)
+    cones = get_cones(spec)
+    reps = [fixed_point_rep(G, gg, cone=c) for gg, c in zip(fps, cones)]
+    table = {}
+    for i, rep1 in enumerate(reps):
+        for j, rep2 in enumerate(reps):
+            table[(i, j)] = koszul_homology(G, rep1, rep2)
+    assert len(table) == 361
+    for (i, j), h in table.items():
+        assert h == ((1, 3, 3, 1) if i == j else (0, 0, 0, 0))
+        assert h[2] == table[(j, i)][1]
