@@ -27,7 +27,6 @@ from .groups import AbelianGroup, GroupSpec, GroupSpecError
 @dataclass
 class RunConfig:
     group_text: str
-    command: str
     out_path: str | None = None
     oracle_cap: int = 16
     samples: int = 5
@@ -191,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(
             group_text=args.group,
-            command=args.command,
             out_path=args.out,
             oracle_cap=args.oracle_cap,
             samples=args.samples,

@@ -2,12 +2,14 @@
 
 A point of a chart with coordinates (lambda, mu, nu) determines a cyclic
 module with basis the staircase of the owning fixed point.  Multiplication
-by each variable is computed by rewriting: whenever a monomial is divisible
-by one of the seven chart generators, the generator is replaced by its
-chart relation (a coefficient monomial in lambda, mu, nu times the
-complementary monomial).  Each rewrite strictly lowers the pairing with
-n0, the sum of the chart's three rays, by at least one, which bounds the
-loop.
+by each variable is read off the chart cone in closed form: x_alpha * m is
+c * m', where m' is the staircase monomial with the character of
+x_alpha * m, and c is the invariant Laurent monomial x_alpha * m / m'
+written in the chart coordinates.  Those coordinates are the invariant
+monomials dual to the cone's rays, so the exponent of c on coordinate i is
+the pairing of x_alpha * m - m' with ray i; a negative or fractional
+exponent means the cone is not the staircase's chart and raises
+``toric.ChartError``.
 
 Equivariance makes every multiplication matrix a generalized permutation
 matrix on character lines, each of dimension one.  Every check and complex
@@ -35,7 +37,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import linalg, toric
-from .ggraph import GGraph, Monomial, mono_divides
+from .ggraph import GGraph
 from .groups import AbelianGroup
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -44,10 +46,6 @@ WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
 # Sign of x_gamma ^ (x_alpha ^ x_beta) against x ^ y ^ z, per wedge pair.
 WEDGE_SIGNS = (1, -1, 1)
 OFF_PATTERN = "multiplication matrix is not supported on its character-shift pattern"
-
-
-class RewriteError(RuntimeError):
-    """Monomial rewriting exceeded its termination bound."""
 
 
 @dataclass(frozen=True)
@@ -103,109 +101,55 @@ class ModuleRep:
         return Packed(tuple(coeffs), tuple(targets), seeds[0] if seeds else None)
 
 
-def rewrite_rules(gg: GGraph):
-    """The seven chart relations as (source, replacement, coefficient powers)."""
-    a, b, c, d, e, f = gg.params
-    if gg.kind == "A":
-        rules = [
-            ((a + d - 1, 0, 0), (0, b - 1, f - 1), (1, 0, 0)),
-            ((0, b + e - 1, 0), (d - 1, 0, c - 1), (0, 1, 0)),
-            ((0, 0, c + f - 1), (a - 1, e - 1, 0), (0, 0, 1)),
-            ((a, e, 0), (0, 0, c + f - 2), (1, 1, 0)),
-            ((0, b, f), (a + d - 2, 0, 0), (0, 1, 1)),
-            ((d, 0, c), (0, b + e - 2, 0), (1, 0, 1)),
-            ((1, 1, 1), (0, 0, 0), (1, 1, 1)),
-        ]
-    else:
-        rules = [
-            ((a + d, 0, 0), (0, b - 1, f - 1), (1, 0, 1)),
-            ((0, b + e, 0), (d - 1, 0, c - 1), (1, 1, 0)),
-            ((0, 0, c + f), (a - 1, e - 1, 0), (0, 1, 1)),
-            ((a, e, 0), (0, 0, c + f - 1), (1, 0, 0)),
-            ((0, b, f), (a + d - 1, 0, 0), (0, 1, 0)),
-            ((d, 0, c), (0, b + e - 1, 0), (0, 0, 1)),
-            ((1, 1, 1), (0, 0, 0), (1, 1, 1)),
-        ]
-    return rules
+def _shift_lines(G: AbelianGroup, gg: GGraph) -> list[list[int]]:
+    """Per variable x_alpha and basis monomial m, the line of x_alpha * m's character."""
+    pos = gg.char_to_gamma()
+    return [
+        [pos[G.char_add[G.char_index(step)][c]] for c in gg.char_index]
+        for step in COORD_EXPONENTS
+    ]
 
 
-def build_rep(
-    G: AbelianGroup, pt: ChartPoint, cone: toric.ChartCone | None = None
-) -> ModuleRep:
-    """Multiplication matrices of the chart-point module in the staircase basis."""
+def build_rep(G: AbelianGroup, pt: ChartPoint, cone: toric.ChartCone) -> ModuleRep:
+    """Multiplication matrices of the chart-point module in the staircase basis.
+
+    Each entry is read off the cone as the module docstring describes.  Rays
+    lie in N, inside (1/R) Z^3, so the pairings are taken with the integer
+    vectors R * ray: x_alpha * m - m' pairs with R * ray_i to the height of
+    m plus R * ray_i[alpha] minus the height of m'.  Raises ChartError when
+    the cone is not the chart of this staircase.
+    """
     gg = pt.base
-    if cone is None:
-        pair = toric.lattices(G)
-        cone = toric.chart_cone(G, pair, gg, owner=0)
-    n0 = [sum(ray[i] for ray in cone.rays) for i in range(3)]
-    rules = rewrite_rules(gg)
-    coords = pt.coords
-    gamma = gg.gamma
-    index = {m: i for i, m in enumerate(gamma)}
-    gamma_set = set(gamma)
-    n = len(gamma)
+    R = G.R
+    rays = [[int(R * x) for x in ray] for ray in cone.rays]
+    heights = [[sum(p * r for p, r in zip(m, ray)) for ray in rays] for m in gg.gamma]
+    n = len(gg.gamma)
+    zero, one = Fraction(0), Fraction(1)
     mats = []
-    for alpha in range(3):
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for col, mono in enumerate(gamma):
-            w = list(mono)
-            w[alpha] += 1
-            result = _normal_form(tuple(w), rules, coords, n0, gamma_set)
-            if result is None:
-                continue
-            target, coeff = result
-            expected = G.char_add[G.char_index(COORD_EXPONENTS[alpha])][
-                G.char_index(mono)
-            ]
-            if G.char_index(target) != expected:
-                raise RewriteError(
-                    f"rewriting x_{alpha} * {mono} landed on the wrong character line"
-                )
-            mat[index[target]][col] = coeff
-        mats.append(tuple(tuple(row) for row in mat))
-    i_vec = tuple(
-        Fraction(int(m == (0, 0, 0))) for m in gamma
-    )
-    return ModuleRep(gg=gg, coords=coords, b=tuple(mats), i_vec=i_vec)
+    for alpha, lines in enumerate(_shift_lines(G, gg)):
+        mat = [[zero] * n for _ in range(n)]
+        for col, row in enumerate(lines):
+            coeff = one
+            for i, coord in enumerate(pt.coords):
+                pairing = heights[col][i] + rays[i][alpha] - heights[row][i]
+                power, rest = divmod(pairing, R)
+                if power < 0 or rest:
+                    raise toric.ChartError(
+                        f"x_{alpha} * {gg.gamma[col]} has exponent {Fraction(pairing, R)} "
+                        f"on coordinate {i} of the chart of fixed point {cone.owner}; "
+                        "the cone is not this staircase's chart"
+                    )
+                if power:
+                    coeff *= coord**power
+            mat[row][col] = coeff
+        mats.append(tuple(tuple(r) for r in mat))
+    i_vec = tuple(Fraction(int(m == (0, 0, 0))) for m in gg.gamma)
+    return ModuleRep(gg=gg, coords=pt.coords, b=tuple(mats), i_vec=i_vec)
 
 
-def _normal_form(start: Monomial, rules, coords, n0, gamma_set):
-    """Reduce a monomial to the staircase; None when the coefficient dies."""
-    phi = sum(f * e for f, e in zip(n0, start))
-    budget = int(phi)
-    w = start
-    coeff = Fraction(1)
-    steps = 0
-    while w not in gamma_set:
-        for lhs, rhs, powers in rules:
-            if mono_divides(lhs, w):
-                w = (
-                    w[0] - lhs[0] + rhs[0],
-                    w[1] - lhs[1] + rhs[1],
-                    w[2] - lhs[2] + rhs[2],
-                )
-                for coord, power in zip(coords, powers):
-                    if power:
-                        if coord == 0:
-                            return None
-                        coeff *= coord**power
-                break
-        else:
-            raise RewriteError(
-                f"monomial {w} is outside the staircase but no chart rule applies"
-            )
-        steps += 1
-        if steps > budget:
-            raise RewriteError(
-                f"rewriting of {start} exceeded its bound of {budget} steps; "
-                "the chart is misclassified"
-            )
-    return w, coeff
-
-
-def fixed_point_rep(G: AbelianGroup, gg: GGraph, cone=None) -> ModuleRep:
+def fixed_point_rep(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> ModuleRep:
     zero = Fraction(0)
-    return build_rep(G, ChartPoint(base=gg, coords=(zero, zero, zero)), cone=cone)
+    return build_rep(G, ChartPoint(base=gg, coords=(zero, zero, zero)), cone)
 
 
 def _require_packed(rep: ModuleRep) -> Packed:
@@ -348,18 +292,13 @@ def _packed(G: AbelianGroup, rep: ModuleRep):
     mean the representation is not equivariant.
     """
     packed = rep.packed
-    chars = rep.gg.char_index
-    pos = rep.gg.char_to_gamma()
-    targets = []
-    for alpha, exponent in enumerate(COORD_EXPONENTS):
-        shift = G.char_add[G.char_index(exponent)]
-        line = [pos[shift[c]] for c in chars]
+    targets = _shift_lines(G, rep.gg)
+    for alpha, line in enumerate(targets):
         if packed is None or any(
             c and t != s
             for c, t, s in zip(packed.coeffs[alpha], packed.targets[alpha], line)
         ):
             raise RuntimeError(OFF_PATTERN)
-        targets.append(line)
     return packed.coeffs, targets
 
 

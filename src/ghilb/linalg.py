@@ -82,10 +82,6 @@ def det3(m):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-# The acceptance gate's name for the chart determinant.
-det_dense = det3
-
-
 def adjugate3(m) -> list[list]:
     """Adjugate of a 3x3 matrix: adjugate3(m) times m is det3(m) times I."""
     (a, b, c), (d, e, f), (g, h, i) = m

@@ -6,10 +6,11 @@ exact homology over all fixed-point pairs plus seeded chart samples.  Each
 chart sample is checked for the ADHM-style relations, exactness of its wedge
 complex and, through koszul.support_check, support on one free orbit (the
 per-fixed-point "support" count).  The oracle, pair and sample checks carry
-"checked"/"total" counts, and a check that did no work is rendered as
-"empty" or "skip", never "ok".  The JSON report is the source of truth; the
-human-readable rendering is derived from it.  For a fixed seed the report is
-byte-identical across runs.
+"checked"/"total" counts.  Every check carries a "status" of ok, fail, skip
+or empty; a check that did no work is "empty" or "skip", never "ok", and
+"pass" still says only whether it failed.  The JSON report is the source of
+truth; the human-readable rendering is derived from it.  For a fixed seed
+the report is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -156,8 +157,13 @@ def verification_report(
     )
     checks.append({"name": "tensor_matrices", "pass": tensor_ok, "details": {}})
 
-    checks.append(_koszul_pairs_check(G, pair, fps, cones, seed, max_pairs))
-    checks.append(_chart_samples_check(G, fps, cones, samples, seed))
+    reps = None
+    if not cone_errors:
+        reps = [koszul.fixed_point_rep(G, gg, cone) for gg, cone in zip(fps, cones)]
+    checks.append(_koszul_pairs_check(G, reps, seed, max_pairs))
+    checks.append(_chart_samples_check(G, cones, reps, samples, seed))
+    for check in checks:
+        check["status"] = _status(check)
 
     report["fixed_points"] = [gg.to_json() for gg in fps]
     if fan_json is not None:
@@ -166,17 +172,25 @@ def verification_report(
     return report
 
 
-def _koszul_pairs_check(G, pair, fps, cones, seed, max_pairs) -> dict:
-    if len(cones) != len(fps):
+def _status(check: dict) -> str:
+    """fail, skip, empty or ok; a check that did no work is never ok."""
+    if not check["pass"]:
+        return "fail"
+    if check.get("skipped"):
+        return "skip"
+    if check["details"].get("checked") == 0:
+        return "empty"
+    return "ok"
+
+
+def _koszul_pairs_check(G, reps, seed, max_pairs) -> dict:
+    if reps is None:
         return {
             "name": "koszul_pairs",
             "pass": False,
             "details": {"error": "charts failed; homology not computed"},
         }
-    reps = [
-        koszul.fixed_point_rep(G, gg, cone=cone) for gg, cone in zip(fps, cones)
-    ]
-    ordered = [(i, j) for i in range(len(fps)) for j in range(len(fps))]
+    ordered = [(i, j) for i in range(len(reps)) for j in range(len(reps))]
     if max_pairs is not None and len(ordered) > max_pairs:
         rng = seeded_rng(seed, 101)
         ordered = sorted(rng.sample(ordered, max_pairs))
@@ -205,13 +219,13 @@ def _koszul_pairs_check(G, pair, fps, cones, seed, max_pairs) -> dict:
             "pairs": pair_reports,
             "duality_failures": duality_failures,
             "checked": len(ordered),
-            "total": len(fps) ** 2,
+            "total": len(reps) ** 2,
         },
     }
 
 
-def _chart_samples_check(G, fps, cones, samples, seed) -> dict:
-    if len(cones) != len(fps):
+def _chart_samples_check(G, cones, fixed_reps, samples, seed) -> dict:
+    if fixed_reps is None:
         return {
             "name": "chart_samples",
             "pass": False,
@@ -220,9 +234,9 @@ def _chart_samples_check(G, fps, cones, samples, seed) -> dict:
     ok = True
     details = []
     checked = 0
-    for k, (gg, cone) in enumerate(zip(fps, cones)):
+    for k, (fixed_rep, cone) in enumerate(zip(fixed_reps, cones)):
         rng = seeded_rng(seed, k)
-        points = koszul.sample_chart_points(gg, samples, rng)
+        points = koszul.sample_chart_points(fixed_rep.gg, samples, rng)
         entry = {
             "fixed_point": k,
             "adhm_pass": 0,
@@ -230,14 +244,13 @@ def _chart_samples_check(G, fps, cones, samples, seed) -> dict:
             "support": 0,
             "same_chart_h": None,
         }
-        fixed_rep = koszul.fixed_point_rep(G, gg, cone=cone)
         if not koszul.verify_adhm(fixed_rep):
             ok = False
             entry["fixed_point_adhm"] = False
         reps = []
         for pt in points:
             checked += 1
-            rep = koszul.build_rep(G, pt, cone=cone)
+            rep = koszul.build_rep(G, pt, cone)
             reps.append(rep)
             if koszul.verify_adhm(rep):
                 entry["adhm_pass"] += 1
@@ -265,7 +278,7 @@ def _chart_samples_check(G, fps, cones, samples, seed) -> dict:
         "details": {
             "per_fixed_point": details,
             "checked": checked,
-            "total": samples * len(fps),
+            "total": samples * len(fixed_reps),
         },
     }
 
@@ -278,17 +291,9 @@ def render_report(report: dict) -> str:
     ]
     for check in report["checks"]:
         details = check["details"]
-        if not check["pass"]:
-            status = "FAIL"
-        elif check.get("skipped"):
-            status = "skip"
-        elif details.get("checked") == 0:
-            status = "empty"
-        else:
-            status = "ok"
         counts = f" ({details['checked']}/{details['total']})" if "checked" in details else ""
         note = f" [skipped: {check['skipped']}]" if check.get("skipped") else ""
-        lines.append(f"  {status:<5} {check['name']}{counts}{note}")
+        lines.append(f"  {check['status']:<5} {check['name']}{counts}{note}")
         if not check["pass"]:
             lines.append(f"       {check['details']}")
     lines.append("PASS" if report["pass"] else "FAIL")

@@ -16,6 +16,10 @@ character table and the lattice construction replace.
 rank_dense, kernel_dense, mat_mul and dense: dense Fraction Gaussian
 elimination and matrix products, against which the package's one sparse
 kernel (linalg.rank_sparse) and its sparse Koszul differentials are checked.
+
+rewrite_matrices: the chart-point module's multiplication matrices by
+monomial rewriting with the seven chart relations, against which the
+closed form of koszul.build_rep is checked.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ from ghilb.ggraph import (
     MonomialIdeal,
     count_identity_value,
     is_ggraph,
+    mono_divides,
     mono_mul,
     seven_generators,
 )
 from ghilb.groups import AbelianGroup
+from ghilb.koszul import COORD_EXPONENTS
 from ghilb.linalg import rank_sparse
 from ghilb.toric import LatticePair
 
@@ -232,3 +238,60 @@ def mat_mul(a, b) -> list[list[Fraction]]:
 def dense(rows: list[dict], ncols: int) -> list[list]:
     """The dense list-of-rows form of sparse rows {column: value}."""
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def rewrite_rules(gg: GGraph):
+    """The seven chart relations as (source, replacement, coefficient powers)."""
+    a, b, c, d, e, f = gg.params
+    if gg.kind == "A":
+        return [
+            ((a + d - 1, 0, 0), (0, b - 1, f - 1), (1, 0, 0)),
+            ((0, b + e - 1, 0), (d - 1, 0, c - 1), (0, 1, 0)),
+            ((0, 0, c + f - 1), (a - 1, e - 1, 0), (0, 0, 1)),
+            ((a, e, 0), (0, 0, c + f - 2), (1, 1, 0)),
+            ((0, b, f), (a + d - 2, 0, 0), (0, 1, 1)),
+            ((d, 0, c), (0, b + e - 2, 0), (1, 0, 1)),
+            ((1, 1, 1), (0, 0, 0), (1, 1, 1)),
+        ]
+    return [
+        ((a + d, 0, 0), (0, b - 1, f - 1), (1, 0, 1)),
+        ((0, b + e, 0), (d - 1, 0, c - 1), (1, 1, 0)),
+        ((0, 0, c + f), (a - 1, e - 1, 0), (0, 1, 1)),
+        ((a, e, 0), (0, 0, c + f - 1), (1, 0, 0)),
+        ((0, b, f), (a + d - 1, 0, 0), (0, 1, 0)),
+        ((d, 0, c), (0, b + e - 1, 0), (0, 0, 1)),
+        ((1, 1, 1), (0, 0, 0), (1, 1, 1)),
+    ]
+
+
+def rewrite_matrices(G: AbelianGroup, gg: GGraph, coords, cone) -> tuple:
+    """The three multiplication matrices at a chart point, by rewriting.
+
+    Each step replaces a chart generator dividing the monomial by its
+    relation and strictly lowers the pairing with n0, the sum of the cone's
+    rays, by at least one, which bounds the loop.  The result must land on
+    the staircase monomial of the product's character.
+    """
+    n0 = [sum(ray[i] for ray in cone.rays) for i in range(3)]
+    rules = rewrite_rules(gg)
+    index = {m: i for i, m in enumerate(gg.gamma)}
+    n = len(gg.gamma)
+    mats = []
+    for alpha in range(3):
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        for col, mono in enumerate(gg.gamma):
+            w = tuple(x + (k == alpha) for k, x in enumerate(mono))
+            coeff = Fraction(1)
+            for _ in range(int(sum(f * e for f, e in zip(n0, w)))):
+                if w in index:
+                    break
+                lhs, rhs, powers = next(r for r in rules if mono_divides(r[0], w))
+                w = tuple(x - p + q for x, p, q in zip(w, lhs, rhs))
+                for coord, power in zip(coords, powers):
+                    coeff *= coord**power
+            assert w in index, f"rewriting of x_{alpha} * {mono} exceeded its bound"
+            expected = G.char_add[G.char_index(COORD_EXPONENTS[alpha])][G.char_index(mono)]
+            assert G.char_index(w) == expected, "rewriting left the character line"
+            mat[index[w]][col] = coeff
+        mats.append(tuple(tuple(row) for row in mat))
+    return tuple(mats)

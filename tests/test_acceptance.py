@@ -115,7 +115,7 @@ def test_criterion_5_smooth_crepant_fan():
         pair = get_lattices(spec)
         cones = get_cones(spec)
         for cone in cones:
-            det = linalg.det_dense([list(v) for v in cone.dual_gens])
+            det = linalg.det3([list(v) for v in cone.dual_gens])
             assert abs(det) == order
             for ray in cone.rays:
                 coords = pair.n_coordinates(ray)

@@ -118,6 +118,9 @@ def test_verify_with_no_work_is_never_ok(capsys):
     assert checks["chart_samples"]["details"]["checked"] == 0
     assert checks["chart_samples"]["details"]["total"] == 0
     assert checks["oracle_agreement"]["details"]["checked"] == 7
+    assert checks["koszul_pairs"]["status"] == "empty"
+    assert checks["chart_samples"]["status"] == "empty"
+    assert checks["oracle_agreement"]["status"] == "ok"
     lines = {line.split()[1]: line.split()[0] for line in err.splitlines() if line.startswith("  ")}
     assert lines["koszul_pairs"] == "empty"
     assert lines["chart_samples"] == "empty"
@@ -125,9 +128,11 @@ def test_verify_with_no_work_is_never_ok(capsys):
 
 
 def test_skipped_oracle_is_not_ok(capsys):
-    code, _, err = run(capsys, "verify", "--group", "3:1,1,1", "--oracle-cap", "2")
+    code, out, err = run(capsys, "verify", "--group", "3:1,1,1", "--oracle-cap", "2")
     assert code == 0
     assert "  skip  oracle_agreement (0/3)" in err
+    oracle = next(c for c in json.loads(out)["checks"] if c["name"] == "oracle_agreement")
+    assert oracle["status"] == "skip"
 
 
 def test_bad_spec_exits_two(capsys):

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import dense, mat_mul, rank_dense
+from _oracles import dense, mat_mul, rank_dense, rewrite_matrices
 from conftest import SUITE_3D, get_cones, get_fixed_points, get_group
+from ghilb.toric import ChartError
 from ghilb.verify import seeded_rng
 from ghilb.koszul import (
     ChartPoint,
@@ -22,6 +23,12 @@ from ghilb.koszul import (
 )
 
 SMALL_SPECS = ["2:1,1,0", "3:1,1,1", "5:1,2,2", "2:1,1,0;2:1,0,1"]
+CLOSED_FORM_SPECS = [spec for spec, _ in SUITE_3D] + [
+    "13:1,3,9",
+    "3:1,2,0;3:0,1,2",
+    "6:1,5,0;6:0,1,5",
+    "19:1,7,11",
+]
 
 
 def _rep_at(spec, fp_index, coords):
@@ -33,7 +40,7 @@ def _rep_at(spec, fp_index, coords):
 
 
 def test_involution_chart_matrices_frozen():
-    # gamma = {1, x}: x*x rewrites to lambda, y rewrites to mu*x, z to nu
+    # gamma = {1, x}: x*x = lambda, y = mu*x, z = nu
     spec = "2:1,1,0"
     x_index = next(
         k for k, gg in enumerate(get_fixed_points(spec)) if (1, 0, 0) in gg.gamma
@@ -44,6 +51,33 @@ def test_involution_chart_matrices_frozen():
     assert rep.b[1] == ((0, lam * mu), (mu, 0))
     assert rep.b[2] == ((nu, 0), (0, nu))
     assert verify_adhm(rep)
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+def test_closed_form_matches_rewriting(spec):
+    # one seeded point per chart, under every pattern of zeroed coordinates
+    G = get_group(spec)
+    for k, gg in enumerate(get_fixed_points(spec)):
+        cone = get_cones(spec)[k]
+        (point,) = sample_chart_points(gg, 1, seeded_rng(41, k))
+        for mask in range(8):
+            coords = tuple(
+                Fraction(0) if mask >> i & 1 else c for i, c in enumerate(point.coords)
+            )
+            rep = build_rep(G, ChartPoint(base=gg, coords=coords), cone=cone)
+            assert rep.b == rewrite_matrices(G, gg, coords, cone), (k, coords)
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+def test_cone_of_another_fixed_point_is_refused(spec):
+    G = get_group(spec)
+    cones = get_cones(spec)
+    for k, gg in enumerate(get_fixed_points(spec)):
+        (point,) = sample_chart_points(gg, 1, seeded_rng(43, k))
+        for j, cone in enumerate(cones):
+            if j != k:
+                with pytest.raises(ChartError, match="not this staircase's chart"):
+                    build_rep(G, point, cone=cone)
 
 
 def test_fixed_point_rep_is_staircase_truncation():
