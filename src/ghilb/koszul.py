@@ -12,26 +12,29 @@ exponent means the cone is not the staircase's chart and raises
 ``toric.ChartError``.
 
 Equivariance makes every multiplication matrix a generalized permutation
-matrix on character lines, each of dimension one.  Every check and complex
-here works on that packed form (``ModuleRep.packed``): for each variable
-and each basis vector, one coefficient and one target line.  The ADHM-style
-checks (commutators, cyclic span, invertibility) then cost O(n) each, and
-the support check walks each line's R-step cycle: at a chart point with
-nonzero coordinates the module lies over a free orbit, so x^R, y^R, z^R and
-xyz must each act as one nonzero scalar.  At a fixed point they are
-nilpotent and the check fails.
+matrix on character lines, each of dimension one, and a module is built in
+that packed form only (``Packed``): for each variable and each basis vector,
+one coefficient and one target line.  The ADHM-style checks (commutators,
+cyclic span, invertibility) then cost O(n) each.  The support check reads
+each B's cycles: at a chart point with nonzero coordinates the module lies
+over a free orbit, so x^R, y^R, z^R and xyz must each act as one nonzero
+scalar, which holds exactly when every B is a permutation with nonzero
+coefficients whose cycle lengths divide R and whose cycle products agree
+after raising to R over the length.  At a fixed point every B is nilpotent
+and the check fails.
 
 Two complexes are built as sparse rows straight from the packed tables and
 ranked by ``linalg.rank_sparse``: the four-term wedge complex of a single
 module (exact whenever some B is invertible), and the two-module complex
 with differential B2 ^ eta - eta ^ B1 whose middle homology computes the
-equivariant Hom into the quotient.
+equivariant Hom into the quotient.  The character-line tables that complex
+reads are computed once per module (``ModuleRep.lines``).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -40,7 +43,6 @@ from . import linalg, toric
 from .ggraph import GGraph
 from .groups import AbelianGroup
 
-Matrix = tuple[tuple[Fraction, ...], ...]
 COORD_EXPONENTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
 # Sign of x_gamma ^ (x_alpha ^ x_beta) against x ^ y ^ z, per wedge pair.
@@ -60,8 +62,9 @@ class Packed(NamedTuple):
     """Generalized permutation form of a module's three matrices.
 
     Column k of B_alpha is coeffs[alpha][k] times basis vector
-    targets[alpha][k] (target -1 for a zero column); seed is the line of the
-    cyclic vector, None when it is zero.  Integral entries are ints.
+    targets[alpha][k]; the target of a zero coefficient is never read.  seed
+    is the line of the cyclic vector, None when it is zero.  Integral
+    coefficients are ints.
     """
 
     coeffs: tuple[list, list, list]
@@ -69,36 +72,58 @@ class Packed(NamedTuple):
     seed: int | None
 
 
+class Lines(NamedTuple):
+    """Character-line tables of one module, read by the two-module complex.
+
+    Per basis monomial m_k: shifted_chars[alpha][k] is the character of
+    x_alpha * m_k and wedge_chars[p][k] that of x_alpha * x_beta * m_k for
+    the p-th wedge pair; by_char[alpha][c] is the coefficient of B_alpha on
+    the line of character c.
+    """
+
+    shifted_chars: list[list[int]]
+    wedge_chars: list[list[int]]
+    by_char: list[list]
+
+
 @dataclass(frozen=True)
 class ModuleRep:
-    """Multiplication matrices on the staircase basis, plus the cyclic vector."""
+    """A module of G on the staircase basis of gg, held only in packed form.
 
+    coords is the chart point it was built at.  Its character-line tables
+    are computed on first use and kept with it.
+    """
+
+    group: AbelianGroup = field(repr=False, compare=False)
     gg: GGraph
     coords: tuple[Fraction, Fraction, Fraction]
-    b: tuple[Matrix, Matrix, Matrix]
-    i_vec: tuple[Fraction, ...]
+    packed: Packed
 
     @cached_property
-    def packed(self) -> Packed | None:
-        """The packed form, or None when a column of some B or the cyclic
-        vector has two nonzero entries (then no character-line form exists)."""
-        n = len(self.i_vec)
-        coeffs, targets = [], []
-        for mat in self.b:
-            cs, ts = [0] * n, [-1] * n
-            for r, row in enumerate(mat):
-                for c, x in enumerate(row):
-                    if x:
-                        if ts[c] >= 0:
-                            return None
-                        cs[c] = int(x) if x.denominator == 1 else x
-                        ts[c] = r
-            coeffs.append(cs)
-            targets.append(ts)
-        seeds = [k for k, x in enumerate(self.i_vec) if x]
-        if len(seeds) > 1:
-            return None
-        return Packed(tuple(coeffs), tuple(targets), seeds[0] if seeds else None)
+    def lines(self) -> Lines:
+        """The module's character-line tables.
+
+        Raises when a nonzero coefficient sits off the line its character
+        dictates, which would mean the module is not equivariant; past this
+        check the packed targets are the character lines wherever they are
+        read.
+        """
+        G, chars = self.group, self.gg.char_index
+        packed = self.packed
+        for cs, ts, line in zip(packed.coeffs, packed.targets, _shift_lines(G, self.gg)):
+            if any(c and t != s for c, t, s in zip(cs, ts, line)):
+                raise RuntimeError(OFF_PATTERN)
+        add = G.char_add
+        step = [G.char_index(e) for e in COORD_EXPONENTS]
+        line_of = self.gg.char_to_gamma()
+        return Lines(
+            shifted_chars=[[add[c][s] for c in chars] for s in step],
+            wedge_chars=[
+                [add[c][add[step[alpha]][step[beta]]] for c in chars]
+                for alpha, beta in WEDGE_PAIRS
+            ],
+            by_char=[[cs[line_of[c]] for c in range(len(chars))] for cs in packed.coeffs],
+        )
 
 
 def _shift_lines(G: AbelianGroup, gg: GGraph) -> list[list[int]]:
@@ -111,26 +136,29 @@ def _shift_lines(G: AbelianGroup, gg: GGraph) -> list[list[int]]:
 
 
 def build_rep(G: AbelianGroup, pt: ChartPoint, cone: toric.ChartCone) -> ModuleRep:
-    """Multiplication matrices of the chart-point module in the staircase basis.
+    """The chart-point module, packed, in the staircase basis.
 
-    Each entry is read off the cone as the module docstring describes.  Rays
-    lie in N, inside (1/R) Z^3, so the pairings are taken with the integer
-    vectors R * ray: x_alpha * m - m' pairs with R * ray_i to the height of
-    m plus R * ray_i[alpha] minus the height of m'.  Raises ChartError when
-    the cone is not the chart of this staircase.
+    Each column is read off the cone as the module docstring describes: its
+    target is the line of the product's character and its coefficient a
+    product of powers of the coordinates, taken from per-coordinate power
+    tables.  Rays lie in N, inside (1/R) Z^3, so the pairings are taken with
+    the integer vectors R * ray: x_alpha * m - m' pairs with R * ray_i to the
+    height of m plus R * ray_i[alpha] minus the height of m'.  Raises
+    ChartError when the cone is not the chart of this staircase.
     """
     gg = pt.base
     R = G.R
     rays = [[int(R * x) for x in ray] for ray in cone.rays]
     heights = [[sum(p * r for p, r in zip(m, ray)) for ray in rays] for m in gg.gamma]
-    n = len(gg.gamma)
-    zero, one = Fraction(0), Fraction(1)
-    mats = []
-    for alpha, lines in enumerate(_shift_lines(G, gg)):
-        mat = [[zero] * n for _ in range(n)]
+    powers = [[1] for _ in pt.coords]
+    coeff_of = {(0, 0, 0): 1}
+    targets = _shift_lines(G, gg)
+    coeffs = []
+    for alpha, lines in enumerate(targets):
+        column = []
         for col, row in enumerate(lines):
-            coeff = one
-            for i, coord in enumerate(pt.coords):
+            exponents = []
+            for i in range(3):
                 pairing = heights[col][i] + rays[i][alpha] - heights[row][i]
                 power, rest = divmod(pairing, R)
                 if power < 0 or rest:
@@ -139,12 +167,20 @@ def build_rep(G: AbelianGroup, pt: ChartPoint, cone: toric.ChartCone) -> ModuleR
                         f"on coordinate {i} of the chart of fixed point {cone.owner}; "
                         "the cone is not this staircase's chart"
                     )
-                if power:
-                    coeff *= coord**power
-            mat[row][col] = coeff
-        mats.append(tuple(tuple(r) for r in mat))
-    i_vec = tuple(Fraction(int(m == (0, 0, 0))) for m in gg.gamma)
-    return ModuleRep(gg=gg, coords=pt.coords, b=tuple(mats), i_vec=i_vec)
+                exponents.append(power)
+            key = tuple(exponents)
+            coeff = coeff_of.get(key)
+            if coeff is None:
+                coeff = 1
+                for table, coord, power in zip(powers, pt.coords, key):
+                    while len(table) <= power:
+                        table.append(table[-1] * coord)
+                    coeff *= table[power]
+                coeff = coeff_of[key] = coeff.numerator if coeff.denominator == 1 else coeff
+            column.append(coeff)
+        coeffs.append(column)
+    packed = Packed(tuple(coeffs), tuple(targets), gg.gamma.index((0, 0, 0)))
+    return ModuleRep(group=G, gg=gg, coords=pt.coords, packed=packed)
 
 
 def fixed_point_rep(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> ModuleRep:
@@ -152,39 +188,25 @@ def fixed_point_rep(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> Modul
     return build_rep(G, ChartPoint(base=gg, coords=(zero, zero, zero)), cone)
 
 
-def _require_packed(rep: ModuleRep) -> Packed:
-    if rep.packed is None:
-        raise RuntimeError(OFF_PATTERN)
-    return rep.packed
-
-
-def _walk(packed: Packed, word, col: int) -> tuple[object, int]:
-    """(coefficient, line) of the product of B_alpha, alpha in word applied
-    first to last, on basis vector col; (0, -1) once it dies."""
-    value = 1
-    for alpha in word:
-        c = packed.coeffs[alpha][col]
-        if not c:
-            return 0, -1
-        value *= c
-        col = packed.targets[alpha][col]
-    return value, col
-
-
 def verify_adhm(rep: ModuleRep) -> bool:
     """Exact commutator vanishing plus fullness of the cyclic span.
 
-    The commutators are compared column by column on the packed tables; a
-    module with no packed form fails.
+    The commutators are compared column by column on the packed tables: both
+    orders of a pair must vanish on a column together, or reach the same line
+    with the same coefficient.
     """
-    packed = rep.packed
-    if packed is None:
-        return False
+    coeffs, targets = rep.packed.coeffs, rep.packed.targets
     for alpha, beta in WEDGE_PAIRS:
-        for col in range(len(rep.i_vec)):
-            if _walk(packed, (alpha, beta), col) != _walk(packed, (beta, alpha), col):
+        ca, ta, cb, tb = coeffs[alpha], targets[alpha], coeffs[beta], targets[beta]
+        for col in range(len(ca)):
+            alive_ab = ca[col] and cb[ta[col]]
+            alive_ba = cb[col] and ca[tb[col]]
+            if not (alive_ab and alive_ba):
+                if alive_ab or alive_ba:
+                    return False
+            elif tb[ta[col]] != ta[tb[col]] or ca[col] * cb[ta[col]] != cb[col] * ca[tb[col]]:
                 return False
-    return krylov_dim(rep) == len(rep.i_vec)
+    return krylov_dim(rep) == len(rep.gg.gamma)
 
 
 def krylov_dim(rep: ModuleRep) -> int:
@@ -194,7 +216,7 @@ def krylov_dim(rep: ModuleRep) -> int:
     span is that of the lines reached from the seed line along nonzero
     coefficients: a breadth-first search.
     """
-    packed = _require_packed(rep)
+    packed = rep.packed
     if packed.seed is None:
         return 0
     seen = {packed.seed}
@@ -210,7 +232,7 @@ def krylov_dim(rep: ModuleRep) -> int:
 
 def all_b_invertible(rep: ModuleRep) -> bool:
     """Every coefficient is nonzero and every B permutes the lines."""
-    packed = _require_packed(rep)
+    packed = rep.packed
     return all(
         all(cs) and len(set(ts)) == len(ts)
         for cs, ts in zip(packed.coeffs, packed.targets)
@@ -220,23 +242,46 @@ def all_b_invertible(rep: ModuleRep) -> bool:
 def support_check(G: AbelianGroup, rep: ModuleRep) -> bool:
     """x^R, y^R, z^R and xyz each act as one nonzero scalar.
 
-    Each word is walked from every basis vector; it must come back to that
-    vector with the same nonzero product everywhere.  A chart point with
-    nonzero coordinates lies in the open torus of G-Hilb, whose module is
-    supported on one free G-orbit in (C*)^3, so there the check must pass;
-    at a fixed point every B is nilpotent and it fails.
+    x_alpha^R is a nonzero scalar exactly when B_alpha permutes the lines
+    with nonzero coefficients, each cycle's length L divides R, and P^(R/L)
+    is the same for every cycle, P being the product of the coefficients
+    around it.  The word xyz is walked from every line and must come back
+    with one common nonzero product.  A chart point with nonzero coordinates
+    lies in the open torus of G-Hilb, whose module is supported on one free
+    G-orbit in (C*)^3, so there the check must pass; at a fixed point every B
+    is nilpotent and it fails.
     """
-    packed = rep.packed
-    if packed is None:
+    if not all_b_invertible(rep):
         return False
     R = G.R
-    for word in ((0,) * R, (1,) * R, (2,) * R, (2, 1, 0)):
-        walks = [_walk(packed, word, col) for col in range(len(rep.i_vec))]
-        if any(end != col for col, (_, end) in enumerate(walks)):
+    coeffs, targets = rep.packed.coeffs, rep.packed.targets
+    for cs, ts in zip(coeffs, targets):
+        scalars = set()
+        seen = [False] * len(cs)
+        for start in range(len(cs)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            product, col, length = cs[start], ts[start], 1
+            while col != start:
+                seen[col] = True
+                product *= cs[col]
+                col = ts[col]
+                length += 1
+            if R % length:
+                return False
+            scalars.add(product ** (R // length))
+        if len(scalars) != 1:
             return False
-        if len({value for value, _ in walks}) != 1:
+    (cx, cy, cz), (tx, ty, tz) = coeffs, targets
+    xyz = set()
+    for col in range(len(cx)):
+        mid = tz[col]
+        last = ty[mid]
+        if tx[last] != col:
             return False
-    return True
+        xyz.add(cz[col] * cy[mid] * cx[last])
+    return len(xyz) == 1
 
 
 def _block_rows(packed: Packed, nrows: int, blocks) -> list[dict]:
@@ -246,7 +291,7 @@ def _block_rows(packed: Packed, nrows: int, blocks) -> list[dict]:
     for p, q, sign, alpha in blocks:
         for col, (c, t) in enumerate(zip(packed.coeffs[alpha], packed.targets[alpha])):
             if c:
-                rows[p * n + t][q * n + col] = sign * c
+                rows[p * n + t][q * n + col] = c if sign > 0 else -c
     return rows
 
 
@@ -256,8 +301,8 @@ def cpxnil_differentials(rep: ModuleRep):
     As sparse rows: d3 = (B1; B2; B3), d2 = ((-B2, B1, 0); (-B3, 0, B1);
     (0, -B3, B2)), d1 = (B3, -B2, B1).
     """
-    packed = _require_packed(rep)
-    n = len(rep.i_vec)
+    packed = rep.packed
+    n = len(rep.gg.gamma)
     d3 = _block_rows(packed, 3 * n, [(0, 0, 1, 0), (1, 0, 1, 1), (2, 0, 1, 2)])
     d2 = _block_rows(
         packed,
@@ -271,7 +316,7 @@ def cpxnil_differentials(rep: ModuleRep):
 def cpxnil_homology(rep: ModuleRep) -> tuple[int, int, int, int]:
     """Homology dimensions (h3, h2, h1, h0) of the four-term wedge complex."""
     d3, d2, d1 = cpxnil_differentials(rep)
-    return _homology_of_ranks(len(rep.i_vec), d3, d2, d1)
+    return _homology_of_ranks(len(rep.gg.gamma), d3, d2, d1)
 
 
 def _homology_of_ranks(n, d3, d2, d1):
@@ -285,29 +330,18 @@ def _homology_of_ranks(n, d3, d2, d1):
     return (h3, h2, h1, h0)
 
 
-def _packed(G: AbelianGroup, rep: ModuleRep):
-    """Coefficient tables, and the target lines the characters dictate.
-
-    Raises when some matrix entry sits off its character line, which would
-    mean the representation is not equivariant.
-    """
-    packed = rep.packed
-    targets = _shift_lines(G, rep.gg)
-    for alpha, line in enumerate(targets):
-        if packed is None or any(
-            c and t != s
-            for c, t, s in zip(packed.coeffs[alpha], packed.targets[alpha], line)
-        ):
-            raise RuntimeError(OFF_PATTERN)
-    return packed.coeffs, targets
-
-
 def _row(*entries) -> dict:
+    """The sparse row with these (column, value) entries, coinciding columns summed."""
     row: dict = {}
     for col, value in entries:
         if value:
-            row[col] = row.get(col, 0) + value
-    return {c: v for c, v in row.items() if v}
+            if col in row:
+                value += row[col]
+                if not value:
+                    del row[col]
+                    continue
+            row[col] = value
+    return row
 
 
 def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep):
@@ -316,25 +350,19 @@ def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep):
     The terms are the equivariant Homs of the first module into the wedge
     powers tensored with the second; each is packed on character lines, so
     the spaces have dimensions n, 3n, 3n, n.  The differential is the
-    graded commutator with the two multiplication maps.
+    graded commutator with the two multiplication maps.  Every entry is read
+    from the first module's packed tables and the two modules' character-line
+    tables.
     """
-    b1, shift1 = _packed(G, rep1)
-    b2, _ = _packed(G, rep2)
-    chars1 = rep1.gg.char_index
-    pos2 = rep2.gg.char_to_gamma()
-    add = G.char_add
-    coord = [G.char_index(e) for e in COORD_EXPONENTS]
-    n = len(rep1.gg.gamma)
-    if len(rep2.gg.gamma) != n:
-        raise ValueError("modules must share the group order")
-
-    def b2_at(alpha, c):
-        """Coefficient of B2_alpha on the second module's line of character c."""
-        return b2[alpha][pos2[c]]
+    if rep1.group is not G or rep2.group is not G:
+        raise ValueError("both modules must be modules of this group")
+    lines1, b2 = rep1.lines, rep2.lines.by_char
+    (b1, t1, _), chars1, shifted1 = rep1.packed, rep1.gg.char_index, lines1.shifted_chars
+    n = len(chars1)
 
     # d3: packed Hom -> three packed blocks.
     d3 = [
-        _row((i, b2_at(alpha, chars1[i])), (shift1[alpha][i], -b1[alpha][i]))
+        _row((i, b2[alpha][chars1[i]]), (t1[alpha][i], -b1[alpha][i]))
         for alpha in range(3)
         for i in range(n)
     ]
@@ -342,26 +370,25 @@ def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep):
     # d2: three blocks -> three wedge blocks.
     d2 = [
         _row(
-            (beta * n + i, b2_at(alpha, add[chars1[i]][coord[beta]])),
-            (alpha * n + i, -b2_at(beta, add[chars1[i]][coord[alpha]])),
-            (alpha * n + shift1[beta][i], b1[beta][i]),
-            (beta * n + shift1[alpha][i], -b1[alpha][i]),
+            (beta * n + i, b2[alpha][shifted1[beta][i]]),
+            (alpha * n + i, -b2[beta][shifted1[alpha][i]]),
+            (alpha * n + t1[beta][i], b1[beta][i]),
+            (beta * n + t1[alpha][i], -b1[alpha][i]),
         )
         for alpha, beta in WEDGE_PAIRS
         for i in range(n)
     ]
 
     # d1: three wedge blocks -> packed Hom; signs of the top wedge product.
-    d1 = []
-    for i in range(n):
-        entries = []
-        for p, (alpha, beta) in enumerate(WEDGE_PAIRS):
-            third = 3 - alpha - beta
-            sign = WEDGE_SIGNS[p]
-            pair_char = add[coord[alpha]][coord[beta]]
-            entries.append((p * n + i, sign * b2_at(third, add[chars1[i]][pair_char])))
-            entries.append((p * n + shift1[third][i], -sign * b1[third][i]))
-        d1.append(_row(*entries))
+    d1 = [[] for _ in range(n)]
+    for p, (alpha, beta) in enumerate(WEDGE_PAIRS):
+        third = 3 - alpha - beta
+        sign = WEDGE_SIGNS[p]
+        c2, wedge1, c1, s1 = b2[third], lines1.wedge_chars[p], b1[third], t1[third]
+        for i in range(n):
+            d1[i].append((p * n + i, sign * c2[wedge1[i]]))
+            d1[i].append((p * n + s1[i], -sign * c1[i]))
+    d1 = [_row(*entries) for entries in d1]
 
     return d3, d2, d1
 

@@ -19,14 +19,19 @@ def rank_sparse(rows: list[dict[int, object]], ncols: int) -> int:
     """Rank over Q of a sparse matrix given as dicts column -> int or Fraction.
 
     Rows are reduced one at a time against the pivot rows found so far, each
-    keyed by its leading (smallest) column.  Only rows that share a column
+    keyed by its leading (smallest) column; empty rows are skipped and a
+    one-entry row is scaled to 1 outright.  Only rows that share a column
     are ever combined, so the elimination never fills across blocks of a
     block-diagonal matrix.  ncols bounds the column indices and is not
     otherwise needed.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = _primitive(row)
+        if len(row) > 1:
+            row = _primitive(row)
+        elif row:
+            ((col, value),) = row.items()
+            row = {col: 1} if value else {}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

@@ -20,6 +20,12 @@ kernel (linalg.rank_sparse) and its sparse Koszul differentials are checked.
 rewrite_matrices: the chart-point module's multiplication matrices by
 monomial rewriting with the seven chart relations, against which the
 closed form of koszul.build_rep is checked.
+
+dense_matrices, pack_dense and module_from_dense: the dense view of a packed
+module and the dense packing scan back, through which tests build corrupted
+modules entry by entry.  support_check_walk: the support check as an R-step
+walk from every line, against which koszul.support_check's cycle test is
+checked.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from ghilb.ggraph import (
     seven_generators,
 )
 from ghilb.groups import AbelianGroup
-from ghilb.koszul import COORD_EXPONENTS
+from ghilb.koszul import COORD_EXPONENTS, ModuleRep, Packed
 from ghilb.linalg import rank_sparse
 from ghilb.toric import LatticePair
 
@@ -295,3 +301,78 @@ def rewrite_matrices(G: AbelianGroup, gg: GGraph, coords, cone) -> tuple:
             mat[index[w]][col] = coeff
         mats.append(tuple(tuple(row) for row in mat))
     return tuple(mats)
+
+
+def dense_matrices(rep: ModuleRep):
+    """(B1, B2, B3), i: the dense Fraction matrices and cyclic vector of a packed module."""
+    n = len(rep.gg.gamma)
+    mats = []
+    for cs, ts in zip(rep.packed.coeffs, rep.packed.targets):
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        for col, (c, t) in enumerate(zip(cs, ts)):
+            if c:
+                mat[t][col] = Fraction(c)
+        mats.append(tuple(tuple(row) for row in mat))
+    i_vec = tuple(Fraction(int(k == rep.packed.seed)) for k in range(n))
+    return tuple(mats), i_vec
+
+
+def pack_dense(b, i_vec) -> Packed | None:
+    """The packed form of dense matrices, or None when a column of some B or
+    the cyclic vector has two nonzero entries (then no packed form exists).
+    A zero column gets target -1; integral entries become ints."""
+    n = len(i_vec)
+    coeffs, targets = [], []
+    for mat in b:
+        cs, ts = [0] * n, [-1] * n
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                if x:
+                    if ts[c] >= 0:
+                        return None
+                    x = Fraction(x)
+                    cs[c] = x.numerator if x.denominator == 1 else x
+                    ts[c] = r
+        coeffs.append(cs)
+        targets.append(ts)
+    seeds = [k for k, x in enumerate(i_vec) if x]
+    if len(seeds) > 1:
+        return None
+    return Packed(tuple(coeffs), tuple(targets), seeds[0] if seeds else None)
+
+
+def module_from_dense(rep: ModuleRep, b) -> ModuleRep | None:
+    """rep's group, staircase, point and cyclic vector with dense matrices b,
+    or None when they have no packed form."""
+    packed = pack_dense(b, dense_matrices(rep)[1])
+    if packed is None:
+        return None
+    return ModuleRep(group=rep.group, gg=rep.gg, coords=rep.coords, packed=packed)
+
+
+def _walk(packed: Packed, word, col: int):
+    """(coefficient, line) of the product of B_alpha, alpha in word applied
+    first to last, on basis vector col; (0, -1) once it dies."""
+    value = 1
+    for alpha in word:
+        c = packed.coeffs[alpha][col]
+        if not c:
+            return 0, -1
+        value *= c
+        col = packed.targets[alpha][col]
+    return value, col
+
+
+def support_check_walk(G: AbelianGroup, rep: ModuleRep) -> bool:
+    """x^R, y^R, z^R and xyz each act as one nonzero scalar, by walking each
+    word from every basis vector: it must come back to that vector with the
+    same nonzero product everywhere."""
+    n = len(rep.gg.gamma)
+    R = G.R
+    for word in ((0,) * R, (1,) * R, (2,) * R, (2, 1, 0)):
+        walks = [_walk(rep.packed, word, col) for col in range(n)]
+        if any(end != col for col, (_, end) in enumerate(walks)):
+            return False
+        if len({value for value, _ in walks}) != 1:
+            return False
+    return True

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from ghilb.cli import console_main, main
 from ghilb.groups import group_from_text
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -82,6 +85,19 @@ def test_verify_is_deterministic(capsys, tmp_path):
     assert run(capsys, "verify", "--group", "2:1,1,0", "--seed", "3", "--out", str(a))[0] == 0
     assert run(capsys, "verify", "--group", "2:1,1,0", "--seed", "3", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "spec,golden",
+    # 6:1,5,0 has a zero weight: x_3 * m has m's character, so the pair
+    # complexes' rows merge coinciding columns
+    [("7:1,2,4", "verify_7-1-2-4_seed0.json"), ("6:1,5,0", "verify_6-1-5-0_seed0.json")],
+)
+def test_verify_json_matches_golden(capsys, spec, golden, tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--group", spec, "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_verify_max_pairs_caps_work(capsys):

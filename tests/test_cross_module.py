@@ -1,7 +1,7 @@
 """Invariants that tie two modules together."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import get_cones, get_fixed_points, get_group, get_lattices
@@ -9,6 +9,7 @@ from ghilb.groups import AbelianGroup, Generator, GroupSpec, GroupSpecError
 from ghilb.homcalc import hom_dim
 from ghilb.koszul import fixed_point_rep, koszul_homology
 from ghilb.mckay import intersection_matrix, mckay_matrices
+from ghilb.verify import verification_report
 
 EXP = st.integers(min_value=-15, max_value=15)
 
@@ -66,3 +67,35 @@ def test_random_specs_have_full_character_groups(order, w1, w2):
     for g in elements:
         for h in elements:
             assert tuple((a + b) % G.R for a, b in zip(g, h)) in elements
+
+
+@st.composite
+def sl3_generators(draw, max_order):
+    order = draw(st.integers(min_value=2, max_value=max_order))
+    w1 = draw(st.integers(min_value=0, max_value=order - 1))
+    w2 = draw(st.integers(min_value=0, max_value=order - 1))
+    return Generator(order, (w1, w2, (-w1 - w2) % order))
+
+
+def _assert_report_passes(gens):
+    try:
+        G = AbelianGroup(GroupSpec(tuple(gens)))
+    except GroupSpecError:
+        assume(False)  # trivial group drawn
+    report = verification_report(G)
+    assert report["pass"] is True
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert not {"fail", "empty"} & set(statuses.values()), statuses
+
+
+@settings(max_examples=25, deadline=None)
+@given(gen=sl3_generators(12))
+def test_full_report_passes_on_random_cyclic_specs(gen):
+    _assert_report_passes([gen])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), first=sl3_generators(6))
+def test_full_report_passes_on_random_two_generator_specs(data, first):
+    second = data.draw(sl3_generators(12 // first.order))
+    _assert_report_passes([first, second])

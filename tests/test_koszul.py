@@ -1,14 +1,22 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from _oracles import dense, mat_mul, rank_dense, rewrite_matrices
+from _oracles import (
+    dense,
+    dense_matrices,
+    mat_mul,
+    module_from_dense,
+    rank_dense,
+    rewrite_matrices,
+    support_check_walk,
+)
 from conftest import SUITE_3D, get_cones, get_fixed_points, get_group
 from ghilb.toric import ChartError
 from ghilb.verify import seeded_rng
 from ghilb.koszul import (
     ChartPoint,
-    ModuleRep,
     all_b_invertible,
     build_rep,
     cpxnil_differentials,
@@ -47,9 +55,10 @@ def test_involution_chart_matrices_frozen():
     )
     lam, mu, nu = Fraction(2, 3), Fraction(1, 5), Fraction(3)
     G, rep = _rep_at(spec, x_index, (lam, mu, nu))
-    assert rep.b[0] == ((0, lam), (1, 0))
-    assert rep.b[1] == ((0, lam * mu), (mu, 0))
-    assert rep.b[2] == ((nu, 0), (0, nu))
+    b, _ = dense_matrices(rep)
+    assert b[0] == ((0, lam), (1, 0))
+    assert b[1] == ((0, lam * mu), (mu, 0))
+    assert b[2] == ((nu, 0), (0, nu))
     assert verify_adhm(rep)
 
 
@@ -65,7 +74,7 @@ def test_closed_form_matches_rewriting(spec):
                 Fraction(0) if mask >> i & 1 else c for i, c in enumerate(point.coords)
             )
             rep = build_rep(G, ChartPoint(base=gg, coords=coords), cone=cone)
-            assert rep.b == rewrite_matrices(G, gg, coords, cone), (k, coords)
+            assert dense_matrices(rep)[0] == rewrite_matrices(G, gg, coords, cone), (k, coords)
 
 
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
@@ -85,13 +94,14 @@ def test_fixed_point_rep_is_staircase_truncation():
         G = get_group(spec)
         for k, gg in enumerate(get_fixed_points(spec)):
             rep = fixed_point_rep(G, gg, cone=get_cones(spec)[k])
+            b, _ = dense_matrices(rep)
             index = {m: i for i, m in enumerate(gg.gamma)}
             for alpha in range(3):
                 for col, mono in enumerate(gg.gamma):
                     up = list(mono)
                     up[alpha] += 1
                     up = tuple(up)
-                    column = [rep.b[alpha][row][col] for row in range(len(gg.gamma))]
+                    column = [b[alpha][row][col] for row in range(len(gg.gamma))]
                     if up in index:
                         assert column[index[up]] == 1
                         assert sum(1 for x in column if x) == 1
@@ -104,7 +114,7 @@ def test_zero_coordinates_recover_fixed_point():
     G, rep = _rep_at("3:1,1,1", 0, (0, 0, 0))
     gg = get_fixed_points("3:1,1,1")[0]
     fixed = fixed_point_rep(G, gg, cone=get_cones("3:1,1,1")[0])
-    assert rep.b == fixed.b
+    assert dense_matrices(rep) == dense_matrices(fixed)
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
@@ -121,23 +131,25 @@ def test_random_chart_points_satisfy_adhm(spec):
 def test_corrupted_rep_fails():
     G, rep = _rep_at("3:1,1,1", 1, (1, 2, 3))
     assert verify_adhm(rep)
-    b1 = [list(row) for row in rep.b[0]]
+    b, _ = dense_matrices(rep)
+    b1 = [list(row) for row in b[0]]
     b1[0][0] += 1
-    corrupted = ModuleRep(
-        gg=rep.gg,
-        coords=rep.coords,
-        b=(tuple(tuple(r) for r in b1), rep.b[1], rep.b[2]),
-        i_vec=rep.i_vec,
-    )
+    # column 0 of B1 now has two entries: no packed form, so no module at all
+    assert module_from_dense(rep, (b1, b[1], b[2])) is None
+    # the same entry added on the column's own line instead
+    b1[0][0] -= 1
+    row = next(r for r in range(3) if b1[r][0])
+    b1[row][0] += 1
+    corrupted = module_from_dense(rep, (b1, b[1], b[2]))
     assert not verify_adhm(corrupted)
 
 
 def test_cyclicity_fails_without_seed_reachability():
     # zeroing all matrices kills the Krylov span
     G, rep = _rep_at("2:1,1,0", 0, (1, 1, 1))
-    n = len(rep.i_vec)
+    n = len(rep.gg.gamma)
     zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-    hollow = ModuleRep(gg=rep.gg, coords=rep.coords, b=(zero, zero, zero), i_vec=rep.i_vec)
+    hollow = module_from_dense(rep, (zero, zero, zero))
     assert krylov_dim(hollow) == 1
     assert not verify_adhm(hollow)
 
@@ -157,16 +169,12 @@ def test_invertibility_needs_a_permutation():
     # every coefficient nonzero, but two columns of B1 hit the same line
     G, rep = _rep_at("3:1,1,1", 1, (1, 2, 3))
     assert all_b_invertible(rep)
-    b1 = [list(row) for row in rep.b[0]]
+    b, _ = dense_matrices(rep)
+    b1 = [list(row) for row in b[0]]
     target = next(r for r in range(3) if b1[r][0])
     other = next(r for r in range(3) if b1[r][1])
     b1[target][1], b1[other][1] = b1[other][1], 0
-    collapsed = ModuleRep(
-        gg=rep.gg,
-        coords=rep.coords,
-        b=(tuple(tuple(r) for r in b1), rep.b[1], rep.b[2]),
-        i_vec=rep.i_vec,
-    )
+    collapsed = module_from_dense(rep, (b1, b[1], b[2]))
     assert not all_b_invertible(collapsed)
 
 
@@ -182,7 +190,7 @@ def test_nil_complex_at_fixed_point():
 
 def test_nil_complex_transpose_symmetry():
     G, rep = _rep_at("3:1,1,1", 0, (0, 0, 0))
-    n = len(rep.i_vec)
+    n = len(rep.gg.gamma)
     d3, d2, d1 = (
         dense(d, ncols) for d, ncols in zip(cpxnil_differentials(rep), (n, 3 * n, 3 * n))
     )
@@ -197,7 +205,7 @@ def test_nil_complex_transpose_symmetry():
 
 def test_differentials_compose_to_zero():
     G, rep = _rep_at("2:1,1,0;2:1,0,1", 2, (2, 3, 5))
-    n = len(rep.i_vec)
+    n = len(rep.gg.gamma)
     widths = (n, 3 * n, 3 * n)
     d3, d2, d1 = (dense(d, w) for d, w in zip(cpxnil_differentials(rep), widths))
     assert not any(any(row) for row in mat_mul(d2, d3))
@@ -210,6 +218,22 @@ def test_differentials_compose_to_zero():
     k3, k2, k1 = (dense(d, w) for d, w in zip(koszul_differentials(G, rep, other), widths))
     assert not any(any(row) for row in mat_mul(k2, k3))
     assert not any(any(row) for row in mat_mul(k1, k2))
+
+
+def test_chart_point_against_itself_with_a_zero_weight():
+    # z has the trivial character and acts as the scalar nu, so each z-row of
+    # the pair complex meets one column from both modules: nu - nu must cancel
+    spec = "6:1,5,0"
+    G = get_group(spec)
+    n = G.order
+    widths = (n, 3 * n, 3 * n)
+    for k, gg in enumerate(get_fixed_points(spec)):
+        (point,) = sample_chart_points(gg, 1, seeded_rng(5, k))
+        rep = build_rep(G, point, cone=get_cones(spec)[k])
+        assert koszul_homology(G, rep, rep) == (1, 3, 3, 1)
+        k3, k2, k1 = (dense(d, w) for d, w in zip(koszul_differentials(G, rep, rep), widths))
+        assert not any(any(row) for row in mat_mul(k2, k3))
+        assert not any(any(row) for row in mat_mul(k1, k2))
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
@@ -275,15 +299,10 @@ def test_support_check_decides_chart_samples_and_fixed_points(spec, order):
 
 def _rescaled(rep, alpha, col, factor):
     """The module with the one nonzero entry of column col of B_alpha scaled."""
-    mats = [[list(row) for row in mat] for mat in rep.b]
-    row = next(r for r in range(len(rep.i_vec)) if mats[alpha][r][col])
+    mats = [[list(row) for row in mat] for mat in dense_matrices(rep)[0]]
+    row = next(r for r in range(len(rep.gg.gamma)) if mats[alpha][r][col])
     mats[alpha][row][col] *= factor
-    return ModuleRep(
-        gg=rep.gg,
-        coords=rep.coords,
-        b=tuple(tuple(tuple(r) for r in mat) for mat in mats),
-        i_vec=rep.i_vec,
-    )
+    return module_from_dense(rep, mats)
 
 
 @pytest.mark.parametrize("spec", ["2:1,1,0", "3:1,1,1", "7:1,2,4", "2:1,1,0;2:1,0,1"])
@@ -299,20 +318,82 @@ def test_support_check_fails_on_one_rescaled_coefficient(spec):
             assert not support_check(G, _rescaled(rep, alpha, col, -1))
 
 
+def _planted(rep, alpha, col, other, kind):
+    """rep with one planted defect in B_alpha's packed tables at columns col, other.
+
+    The "kept" kinds also change B_(alpha+1), the variable applied just
+    before B_alpha in the word xyz: B_alpha's columns col and other are
+    swapped and B_(alpha+1)'s images of those two lines with them, or column
+    col of B_alpha is doubled and the column of B_(alpha+1) landing on col is
+    halved.  Either way xyz keeps its value on every line, so only the
+    x^R, y^R, z^R test can see the defect.
+    """
+    coeffs = [list(cs) for cs in rep.packed.coeffs]
+    targets = [list(ts) for ts in rep.packed.targets]
+    cs, ts = coeffs[alpha], targets[alpha]
+    if kind == "rescaled":
+        cs[col] *= 2
+    elif kind == "swapped":
+        ts[col], ts[other] = ts[other], ts[col]
+    elif kind == "collision":
+        ts[col] = ts[other]
+    elif kind == "zeroed":
+        cs[col] = 0
+    else:
+        before_cs, before_ts = coeffs[alpha + 1], targets[alpha + 1]
+        if kind == "swapped, xyz kept":
+            cs[col], cs[other] = cs[other], cs[col]
+            ts[col], ts[other] = ts[other], ts[col]
+            swap = {col: other, other: col}
+            targets[alpha + 1] = [swap.get(t, t) for t in before_ts]
+        else:
+            cs[col] *= 2
+            before_cs[before_ts.index(col)] /= Fraction(2)
+    packed = rep.packed._replace(coeffs=tuple(coeffs), targets=tuple(targets))
+    return replace(rep, packed=packed)
+
+
+PLANTED = ("rescaled", "swapped", "collision", "zeroed")
+PLANTED_XYZ_KEPT = ("swapped, xyz kept", "rescaled, xyz kept")
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+def test_support_check_matches_the_walk(spec):
+    # every fixed point, 5 seeded samples per chart and the unit point (all
+    # coefficients 1, so cycle products agree whatever the cycle lengths);
+    # planted defects at seeded columns of the first sample and the unit point
+    G = get_group(spec)
+    for k, gg in enumerate(get_fixed_points(spec)):
+        cone = get_cones(spec)[k]
+        fixed = fixed_point_rep(G, gg, cone=cone)
+        assert not support_check(G, fixed) and not support_check_walk(G, fixed)
+        samples = [build_rep(G, pt, cone=cone) for pt in sample_chart_points(gg, 5, seeded_rng(0, k))]
+        for rep in samples:
+            assert support_check(G, rep) == support_check_walk(G, rep), (k, rep.coords)
+        unit = build_rep(G, ChartPoint(base=gg, coords=(Fraction(1),) * 3), cone=cone)
+        rng = seeded_rng(47, k)
+        n = len(gg.gamma)
+        for rep in (samples[0], unit):
+            for alpha in range(3):
+                for _ in range(3):
+                    col, other = rng.sample(range(n), 2)
+                    kinds = PLANTED + (PLANTED_XYZ_KEPT if alpha < 2 else ())
+                    for kind in kinds:
+                        bad = _planted(rep, alpha, col, other, kind)
+                        assert support_check(G, bad) == support_check_walk(G, bad), (
+                            k, rep.coords, alpha, col, other, kind,
+                        )
+
+
 def test_off_pattern_entry_is_refused():
     # one nonzero entry moved to the wrong row: still a generalized
     # permutation matrix, but off its character line
     G, rep = _rep_at("3:1,1,1", 1, (1, 2, 3))
-    mats = [[list(row) for row in mat] for mat in rep.b]
+    mats = [[list(row) for row in mat] for mat in dense_matrices(rep)[0]]
     col = 0
     row = next(r for r in range(3) if mats[0][r][col])
     mats[0][(row + 1) % 3][col], mats[0][row][col] = mats[0][row][col], 0
-    moved = ModuleRep(
-        gg=rep.gg,
-        coords=rep.coords,
-        b=tuple(tuple(tuple(r) for r in mat) for mat in mats),
-        i_vec=rep.i_vec,
-    )
+    moved = module_from_dense(rep, mats)
     assert not verify_adhm(moved)
     with pytest.raises(RuntimeError, match="character-shift pattern"):
         koszul_homology(G, moved, rep)
