@@ -17,10 +17,10 @@ from .ggraph import (
     is_ggraph,
     verify_count_identity,
 )
-from .groups import AbelianGroup, Character, GroupSpec, GroupSpecError, build_group
+from .groups import AbelianGroup, Character, GroupSpec, GroupSpecError
 from .homcalc import hom_dim, hom_matrix
 from .koszul import (
-    ChartPoint,
+    Chart,
     ModuleRep,
     build_rep,
     cpxnil_homology,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup",
     "Character",
-    "ChartPoint",
+    "Chart",
     "Fan",
     "GGraph",
     "GroupSpec",
@@ -46,7 +46,6 @@ __all__ = [
     "MonomialIdeal",
     "brute_force_fixed_points",
     "build_fan",
-    "build_group",
     "build_rep",
     "cartan_2d",
     "chart_cone",

@@ -85,39 +85,26 @@ def cmd_fixed_points(config: RunConfig) -> tuple[int, dict]:
             for gg in fps
         ],
     }
-    code = 0
     if G.order <= config.oracle_cap:
-        oracle = ggraph.brute_force_fixed_points(G, cap=config.oracle_cap)
-        agree = [gg.to_json() for gg in fps] == [gg.to_json() for gg in oracle]
+        agree, _ = ggraph.oracle_agreement(G, fps, config.oracle_cap)
         payload["oracle_agreement"] = agree
-        if not agree:
-            code = 1
-    return code, payload
+        return int(not agree), payload
+    return 0, payload
 
 
 def cmd_fan(config: RunConfig) -> tuple[int, dict]:
     G = _group(config)
     fps = ggraph.enumerate_fixed_points(G)
-    pair = toric.lattices(G)
-    cones = []
-    flags = []
-    code = 0
-    for k, gg in enumerate(fps):
-        try:
-            cone = toric.chart_cone(G, pair, gg, owner=k)
-            cones.append(cone)
-            flags.append({"fixed_point": k, "smooth": True, "crepant": True})
-        except toric.ChartError as exc:
-            code = 1
-            flags.append({"fixed_point": k, "smooth": False, "error": str(exc)})
-    payload: dict = {"charts": flags}
-    if code == 0:
-        try:
-            payload.update(toric.build_fan(G, pair, cones).to_json())
-        except toric.FanError as exc:
-            code = 1
-            payload["fan_error"] = {"message": str(exc), **exc.details}
-    return code, payload
+    layers = toric.layers(G, fps)
+    charts = [{"fixed_point": k, "smooth": True, "crepant": True} for k in range(len(fps))]
+    for k, error in layers.cone_errors.items():
+        charts[k] = {"fixed_point": k, "smooth": False, "error": error}
+    payload: dict = {"charts": charts}
+    if layers.fan is not None:
+        payload.update(layers.fan.to_json())
+    if layers.fan_error is not None:
+        payload["fan_error"] = {"message": str(layers.fan_error), **layers.fan_error.details}
+    return int(layers.fan is None), payload
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, dict]:

@@ -364,6 +364,12 @@ def brute_force_fixed_points(G: AbelianGroup, cap: int = 16) -> list[GGraph]:
     return results
 
 
+def oracle_agreement(G: AbelianGroup, fixed_points: list[GGraph], cap: int) -> tuple[bool, int]:
+    """Whether the enumerated fixed points equal the oracle's, and how many it found."""
+    oracle = brute_force_fixed_points(G, cap=cap)
+    return [gg.to_json() for gg in fixed_points] == [gg.to_json() for gg in oracle], len(oracle)
+
+
 def _lowered(m: Monomial, axis: int) -> Monomial:
     s = list(m)
     s[axis] -= 1

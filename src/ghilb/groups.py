@@ -152,7 +152,6 @@ class AbelianGroup:
         self.characters: tuple[Character, ...] = tuple(Character(fp_of_key[k]) for k in keys)
         self.char_exponents: tuple[Triple, ...] = tuple(rep_of_key[k] for k in keys)
         index_of_key = {key: k for k, key in enumerate(keys)}
-        self._index_of_fp = {chi.fingerprint: k for k, chi in enumerate(self.characters)}
         # Index table for products of characters, via key addition.
         self.char_add: tuple[tuple[int, ...], ...] = tuple(
             tuple(
@@ -182,9 +181,6 @@ class AbelianGroup:
     def char_of_monomial(self, e: Triple) -> Character:
         return self.characters[self.char_index(e)]
 
-    def char_index_of(self, chi: Character) -> int:
-        return self._index_of_fp[chi.fingerprint]
-
     # -- ages and junior elements --------------------------------------------
 
     def age(self, g: Triple) -> Fraction:
@@ -202,11 +198,6 @@ class AbelianGroup:
             for g in self.spec.generators
         )
         return f"AbelianGroup({gens}, order={self.order})"
-
-
-def build_group(spec: GroupSpec) -> AbelianGroup:
-    """Construct the group from a validated spec; rejects the trivial group."""
-    return AbelianGroup(spec)
 
 
 def group_from_text(text: str) -> AbelianGroup:

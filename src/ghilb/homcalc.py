@@ -68,17 +68,16 @@ class _UnionFind:
         return sum(1 for r in roots if not self.zero[r])
 
 
-def hom_constraints(G: AbelianGroup, inst: HomInstance) -> list[dict]:
-    """Evaluate every pairwise lcm syzygy; returns an audit trace.
+def hom_constraints(inst: HomInstance, uf: _UnionFind, trace: list | None = None) -> None:
+    """Apply every pairwise lcm syzygy to the generators' union-find.
 
     For generators g, h with lcm L, the two transported images are
     u_g = (L/g) m(g) and u_h = (L/h) m(h).  If both survive in the target
     quotient they are the same monomial and the scalars agree; if exactly
     one survives its scalar is zero; if neither does, the relation is
-    vacuous.
+    vacuous.  Given a list, each syzygy is appended to it as an audit record.
     """
     ideal2 = inst.target.ideal
-    trace = []
     n = len(inst.gens)
     for i in range(n):
         for j in range(i + 1, n):
@@ -94,22 +93,25 @@ def hom_constraints(G: AbelianGroup, inst: HomInstance) -> list[dict]:
                         f"surviving images {mono_str(u_g)} and {mono_str(u_h)} of a "
                         "syzygy differ; the target staircase is corrupted"
                     )
+                uf.union(i, j)
                 action = "union"
             elif g_lives:
+                uf.mark_zero(i)
                 action = "zero_first"
             elif h_lives:
+                uf.mark_zero(j)
                 action = "zero_second"
             else:
                 action = "none"
-            trace.append(
-                {
-                    "pair": [list(g), list(h)],
-                    "lcm": list(lcm),
-                    "images": [list(u_g), list(u_h)],
-                    "action": action,
-                }
-            )
-    return trace
+            if trace is not None:
+                trace.append(
+                    {
+                        "pair": [list(g), list(h)],
+                        "lcm": list(lcm),
+                        "images": [list(u_g), list(u_h)],
+                        "action": action,
+                    }
+                )
 
 
 def hom_dim(
@@ -117,20 +119,8 @@ def hom_dim(
 ) -> int:
     """dim Hom_A(I1, A/I2)^G for two fixed points, by syzygy propagation."""
     inst = hom_instance(G, source, target)
-    constraints = hom_constraints(G, inst)
-    if trace is not None:
-        trace.extend(constraints)
     uf = _UnionFind(len(inst.gens))
-    index = {g: i for i, g in enumerate(inst.gens)}
-    for record in constraints:
-        gi = index[tuple(record["pair"][0])]
-        hi = index[tuple(record["pair"][1])]
-        if record["action"] == "union":
-            uf.union(gi, hi)
-        elif record["action"] == "zero_first":
-            uf.mark_zero(gi)
-        elif record["action"] == "zero_second":
-            uf.mark_zero(hi)
+    hom_constraints(inst, uf, trace)
     return uf.free_classes()
 
 

@@ -9,7 +9,10 @@ written in the chart coordinates.  Those coordinates are the invariant
 monomials dual to the cone's rays, so the exponent of c on coordinate i is
 the pairing of x_alpha * m - m' with ray i; a negative or fractional
 exponent means the cone is not the staircase's chart and raises
-``toric.ChartError``.
+``toric.ChartError``.  What depends only on the staircase and the cone,
+each column's target line and exponent triple, is computed once per fixed
+point (``chart``); a module at a chart point then costs only the power
+tables of its coordinates (``build_rep``).
 
 Equivariance makes every multiplication matrix a generalized permutation
 matrix on character lines, each of dimension one, and a module is built in
@@ -42,20 +45,12 @@ from typing import NamedTuple
 from . import linalg, toric
 from .ggraph import GGraph
 from .groups import AbelianGroup
+from .mckay import COORD_EXPONENTS
 
-COORD_EXPONENTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
 # Sign of x_gamma ^ (x_alpha ^ x_beta) against x ^ y ^ z, per wedge pair.
 WEDGE_SIGNS = (1, -1, 1)
 OFF_PATTERN = "multiplication matrix is not supported on its character-shift pattern"
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point of the affine chart of a fixed point; (0,0,0) is the point itself."""
-
-    base: GGraph
-    coords: tuple[Fraction, Fraction, Fraction]
 
 
 class Packed(NamedTuple):
@@ -70,6 +65,20 @@ class Packed(NamedTuple):
     coeffs: tuple[list, list, list]
     targets: tuple[list[int], list[int], list[int]]
     seed: int | None
+
+
+class Chart(NamedTuple):
+    """One fixed point's chart, as the table its modules are read from.
+
+    Column k of B_alpha has target line targets[alpha][k] and coefficient the
+    product of the coordinates raised to exponents[slots[alpha][k]].
+    """
+
+    group: AbelianGroup
+    gg: GGraph
+    targets: tuple[list[int], list[int], list[int]]
+    exponents: tuple[tuple[int, int, int], ...]
+    slots: tuple[list[int], list[int], list[int]]
 
 
 class Lines(NamedTuple):
@@ -135,25 +144,20 @@ def _shift_lines(G: AbelianGroup, gg: GGraph) -> list[list[int]]:
     ]
 
 
-def build_rep(G: AbelianGroup, pt: ChartPoint, cone: toric.ChartCone) -> ModuleRep:
-    """The chart-point module, packed, in the staircase basis.
+def chart(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> Chart:
+    """The table of the chart of gg, read off its cone as the module docstring says.
 
-    Each column is read off the cone as the module docstring describes: its
-    target is the line of the product's character and its coefficient a
-    product of powers of the coordinates, taken from per-coordinate power
-    tables.  Rays lie in N, inside (1/R) Z^3, so the pairings are taken with
-    the integer vectors R * ray: x_alpha * m - m' pairs with R * ray_i to the
+    Rays lie in N, inside (1/R) Z^3, so the pairings are taken with the
+    integer vectors R * ray: x_alpha * m - m' pairs with R * ray_i to the
     height of m plus R * ray_i[alpha] minus the height of m'.  Raises
     ChartError when the cone is not the chart of this staircase.
     """
-    gg = pt.base
     R = G.R
     rays = [[int(R * x) for x in ray] for ray in cone.rays]
     heights = [[sum(p * r for p, r in zip(m, ray)) for ray in rays] for m in gg.gamma]
-    powers = [[1] for _ in pt.coords]
-    coeff_of = {(0, 0, 0): 1}
     targets = _shift_lines(G, gg)
-    coeffs = []
+    slot_of: dict = {}
+    slots = []
     for alpha, lines in enumerate(targets):
         column = []
         for col, row in enumerate(lines):
@@ -168,24 +172,29 @@ def build_rep(G: AbelianGroup, pt: ChartPoint, cone: toric.ChartCone) -> ModuleR
                         "the cone is not this staircase's chart"
                     )
                 exponents.append(power)
-            key = tuple(exponents)
-            coeff = coeff_of.get(key)
-            if coeff is None:
-                coeff = 1
-                for table, coord, power in zip(powers, pt.coords, key):
-                    while len(table) <= power:
-                        table.append(table[-1] * coord)
-                    coeff *= table[power]
-                coeff = coeff_of[key] = coeff.numerator if coeff.denominator == 1 else coeff
-            column.append(coeff)
-        coeffs.append(column)
-    packed = Packed(tuple(coeffs), tuple(targets), gg.gamma.index((0, 0, 0)))
-    return ModuleRep(group=G, gg=gg, coords=pt.coords, packed=packed)
+            column.append(slot_of.setdefault(tuple(exponents), len(slot_of)))
+        slots.append(column)
+    return Chart(G, gg, tuple(targets), tuple(slot_of), tuple(slots))
 
 
-def fixed_point_rep(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> ModuleRep:
-    zero = Fraction(0)
-    return build_rep(G, ChartPoint(base=gg, coords=(zero, zero, zero)), cone)
+def build_rep(chart: Chart, coords: tuple) -> ModuleRep:
+    """The module at the chart point with these coordinates, packed.
+
+    Each distinct exponent triple of the chart is raised once, from
+    per-coordinate power tables; (0, 0, 0) gives the fixed point's module.
+    """
+    powers = [[1] for _ in coords]
+    values = []
+    for key in chart.exponents:
+        coeff = 1
+        for table, coord, power in zip(powers, coords, key):
+            while len(table) <= power:
+                table.append(table[-1] * coord)
+            coeff *= table[power]
+        values.append(coeff.numerator if coeff.denominator == 1 else coeff)
+    coeffs = tuple([values[s] for s in column] for column in chart.slots)
+    packed = Packed(coeffs, chart.targets, chart.gg.gamma.index((0, 0, 0)))
+    return ModuleRep(group=chart.group, gg=chart.gg, coords=coords, packed=packed)
 
 
 def verify_adhm(rep: ModuleRep) -> bool:
@@ -410,16 +419,12 @@ def pair_report(i: int, j: int, h, expected) -> dict:
     }
 
 
-def sample_chart_points(
-    gg: GGraph, count: int, rng: random.Random
-) -> list[ChartPoint]:
-    """Seeded chart points with nonzero small-height rational coordinates."""
-    points = []
-    for _ in range(count):
-        coords = tuple(
-            Fraction(rng.randint(1, 5), rng.randint(1, 5))
-            * rng.choice((1, -1))
+def sample_chart_points(count: int, rng: random.Random) -> list[tuple[Fraction, ...]]:
+    """Coordinates of seeded chart points: nonzero rationals of small height."""
+    return [
+        tuple(
+            Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1))
             for _ in range(3)
         )
-        points.append(ChartPoint(base=gg, coords=coords))
-    return points
+        for _ in range(count)
+    ]

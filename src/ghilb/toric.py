@@ -7,7 +7,8 @@ fixed point carries an affine chart whose coordinates lambda, mu, nu are
 invariant Laurent monomials; the rows of the inverse transpose of their
 exponent matrix are the rays of the chart cone.  Smoothness of a chart is
 |det| = |G|, and crepancy is every ray sitting at lattice height one
-(coordinate sum one).
+(coordinate sum one).  ``layers`` runs the chain from the lattices through
+the chart cones to the glued fan, recording where it fails.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import linalg
 from .ggraph import GGraph
@@ -246,3 +248,32 @@ def build_fan(G: AbelianGroup, pair: LatticePair, cones: list[ChartCone]) -> Fan
     if bad:
         raise FanError("facet pairing failed", details={"facets": bad})
     return Fan(cones=tuple(cones), rays=tuple(seen_rays), junior=junior)
+
+
+class Layers(NamedTuple):
+    """The toric layers of one group: cone_errors maps a fixed point to its
+    chart's error, and only when it is empty is the fan glued, or fan_error set."""
+
+    lattices: LatticePair
+    cones: list[ChartCone]
+    cone_errors: dict[int, str]
+    fan: Fan | None
+    fan_error: FanError | None
+
+
+def layers(G: AbelianGroup, fixed_points: list[GGraph]) -> Layers:
+    """Lattices, the chart cone of every fixed point, and the fan they glue into."""
+    pair = lattices(G)
+    cones, cone_errors = [], {}
+    for k, gg in enumerate(fixed_points):
+        try:
+            cones.append(chart_cone(G, pair, gg, owner=k))
+        except ChartError as exc:
+            cone_errors[k] = str(exc)
+    fan = fan_error = None
+    if not cone_errors:
+        try:
+            fan = build_fan(G, pair, cones)
+        except FanError as exc:
+            fan_error = exc
+    return Layers(pair, cones, cone_errors, fan, fan_error)

@@ -64,15 +64,14 @@ def verification_report(
     )
 
     if G.order <= oracle_cap:
-        oracle = ggraph.brute_force_fixed_points(G, cap=oracle_cap)
-        agree = [gg.to_json() for gg in fps] == [gg.to_json() for gg in oracle]
+        agree, found = ggraph.oracle_agreement(G, fps, oracle_cap)
         checks.append(
             {
                 "name": "oracle_agreement",
                 "pass": agree,
                 "details": {
                     "enumerated": len(fps),
-                    "oracle": len(oracle),
+                    "oracle": found,
                     "checked": len(fps),
                     "total": len(fps),
                 },
@@ -97,40 +96,26 @@ def verification_report(
         }
     )
 
-    pair = toric.lattices(G)
-    cones = []
-    cone_errors = []
-    for k, gg in enumerate(fps):
-        try:
-            cones.append(toric.chart_cone(G, pair, gg, owner=k))
-        except toric.ChartError as exc:
-            cone_errors.append({"fixed_point": k, "error": str(exc)})
+    layers = toric.layers(G, fps)
     checks.append(
         {
             "name": "charts_smooth_crepant",
-            "pass": not cone_errors,
-            "details": {"errors": cone_errors, "cones": len(cones)},
+            "pass": not layers.cone_errors,
+            "details": {
+                "errors": [{"fixed_point": k, "error": e} for k, e in layers.cone_errors.items()],
+                "cones": len(layers.cones),
+            },
         }
     )
 
-    fan_json = None
-    if cone_errors:
-        checks.append(
-            {
-                "name": "fan",
-                "pass": False,
-                "details": {"error": "charts failed; fan not assembled"},
-            }
-        )
+    fan_json = None if layers.fan is None else layers.fan.to_json()
+    if layers.cone_errors:
+        fan_details = {"error": "charts failed; fan not assembled"}
+    elif layers.fan_error is not None:
+        fan_details = {"error": str(layers.fan_error), **layers.fan_error.details}
     else:
-        try:
-            fan = toric.build_fan(G, pair, cones)
-            fan_json = fan.to_json()
-            checks.append({"name": "fan", "pass": True, "details": fan_json})
-        except toric.FanError as exc:
-            checks.append(
-                {"name": "fan", "pass": False, "details": {"error": str(exc), **exc.details}}
-            )
+        fan_details = fan_json
+    checks.append({"name": "fan", "pass": fan_json is not None, "details": fan_details})
 
     hom = homcalc.hom_matrix(G, fps)
     hom_expected = [
@@ -157,11 +142,12 @@ def verification_report(
     )
     checks.append({"name": "tensor_matrices", "pass": tensor_ok, "details": {}})
 
-    reps = None
-    if not cone_errors:
-        reps = [koszul.fixed_point_rep(G, gg, cone) for gg, cone in zip(fps, cones)]
+    charts = reps = None
+    if not layers.cone_errors:
+        charts = [koszul.chart(G, gg, cone) for gg, cone in zip(fps, layers.cones)]
+        reps = [koszul.build_rep(chart, (0, 0, 0)) for chart in charts]
     checks.append(_koszul_pairs_check(G, reps, seed, max_pairs))
-    checks.append(_chart_samples_check(G, cones, reps, samples, seed))
+    checks.append(_chart_samples_check(G, charts, reps, samples, seed))
     for check in checks:
         check["status"] = _status(check)
 
@@ -221,7 +207,7 @@ def _koszul_pairs_check(G, reps, seed, max_pairs) -> dict:
     }
 
 
-def _chart_samples_check(G, cones, fixed_reps, samples, seed) -> dict:
+def _chart_samples_check(G, charts, fixed_reps, samples, seed) -> dict:
     if fixed_reps is None:
         return {
             "name": "chart_samples",
@@ -231,9 +217,9 @@ def _chart_samples_check(G, cones, fixed_reps, samples, seed) -> dict:
     ok = True
     details = []
     checked = 0
-    for k, (fixed_rep, cone) in enumerate(zip(fixed_reps, cones)):
+    for k, (fixed_rep, chart) in enumerate(zip(fixed_reps, charts)):
         rng = seeded_rng(seed, k)
-        points = koszul.sample_chart_points(fixed_rep.gg, samples, rng)
+        points = koszul.sample_chart_points(samples, rng)
         entry = {
             "fixed_point": k,
             "adhm_pass": 0,
@@ -245,9 +231,9 @@ def _chart_samples_check(G, cones, fixed_reps, samples, seed) -> dict:
             ok = False
             entry["fixed_point_adhm"] = False
         reps = []
-        for pt in points:
+        for coords in points:
             checked += 1
-            rep = koszul.build_rep(G, pt, cone)
+            rep = koszul.build_rep(chart, coords)
             reps.append(rep)
             if koszul.verify_adhm(rep):
                 entry["adhm_pass"] += 1

@@ -19,7 +19,7 @@ kernel (linalg.rank_sparse) and its sparse Koszul differentials are checked.
 
 rewrite_matrices: the chart-point module's multiplication matrices by
 monomial rewriting with the seven chart relations, against which the
-closed form of koszul.build_rep is checked.
+closed form of koszul.chart and koszul.build_rep is checked.
 
 dense_matrices, pack_dense and module_from_dense: the dense view of a packed
 module and the dense packing scan back, through which tests build corrupted

@@ -1,8 +1,10 @@
-"""Shared fixtures: the suite groups and cached per-group pipeline data."""
+"""Shared fixtures: the suite groups and per-group pipeline data, each computed once."""
 
 from __future__ import annotations
 
-from ghilb import ggraph, toric
+from functools import cache
+
+from ghilb import ggraph, koszul, toric
 from ghilb.groups import group_from_text
 
 SUITE_3D = [
@@ -15,36 +17,34 @@ SUITE_3D = [
     ("2:1,1,0;2:1,0,1", 4),
 ]
 
-_groups: dict = {}
-_fixed_points: dict = {}
-_lattices: dict = {}
-_cones: dict = {}
 
-
+@cache
 def get_group(spec: str):
-    if spec not in _groups:
-        _groups[spec] = group_from_text(spec)
-    return _groups[spec]
+    return group_from_text(spec)
 
 
+@cache
 def get_fixed_points(spec: str):
-    if spec not in _fixed_points:
-        _fixed_points[spec] = ggraph.enumerate_fixed_points(get_group(spec))
-    return _fixed_points[spec]
+    return ggraph.enumerate_fixed_points(get_group(spec))
+
+
+@cache
+def get_layers(spec: str):
+    return toric.layers(get_group(spec), get_fixed_points(spec))
 
 
 def get_lattices(spec: str):
-    if spec not in _lattices:
-        _lattices[spec] = toric.lattices(get_group(spec))
-    return _lattices[spec]
+    return get_layers(spec).lattices
 
 
 def get_cones(spec: str):
-    if spec not in _cones:
-        G = get_group(spec)
-        pair = get_lattices(spec)
-        _cones[spec] = [
-            toric.chart_cone(G, pair, gg, owner=k)
-            for k, gg in enumerate(get_fixed_points(spec))
-        ]
-    return _cones[spec]
+    layers = get_layers(spec)
+    if layers.cone_errors:
+        raise toric.ChartError(f"charts of {spec} failed: {layers.cone_errors}")
+    return layers.cones
+
+
+@cache
+def get_charts(spec: str):
+    G = get_group(spec)
+    return [koszul.chart(G, gg, cone) for gg, cone in zip(get_fixed_points(spec), get_cones(spec))]

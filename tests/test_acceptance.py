@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from _oracles import hom_dim_dense
-from conftest import SUITE_3D, get_cones, get_fixed_points, get_group, get_lattices
+from conftest import SUITE_3D, get_charts, get_cones, get_fixed_points, get_group, get_lattices
 from ghilb import ggraph, linalg, toric
 from ghilb.groups import group_from_text
 from ghilb.homcalc import hom_dim, hom_matrix
@@ -18,7 +18,6 @@ from ghilb.koszul import (
     all_b_invertible,
     build_rep,
     cpxnil_homology,
-    fixed_point_rep,
     koszul_homology,
     krylov_dim,
     sample_chart_points,
@@ -90,9 +89,7 @@ def test_criterion_4_koszul_homology():
     pairs = 0
     for spec, order in SUITE_3D:
         G = get_group(spec)
-        fps = get_fixed_points(spec)
-        cones = get_cones(spec)
-        reps = [fixed_point_rep(G, gg, cone=c) for gg, c in zip(fps, cones)]
+        reps = [build_rep(c, (0, 0, 0)) for c in get_charts(spec)]
         table = {}
         for i, rep1 in enumerate(reps):
             for j, rep2 in enumerate(reps):
@@ -169,17 +166,14 @@ def test_criterion_8_adhm_at_fixed_and_chart_points():
     points_checked = 0
     exact_nil = 0
     for spec, order in SUITE_3D:
-        G = get_group(spec)
-        fps = get_fixed_points(spec)
-        cones = get_cones(spec)
-        for k, (gg, cone) in enumerate(zip(fps, cones)):
-            rep = fixed_point_rep(G, gg, cone=cone)
+        for k, chart in enumerate(get_charts(spec)):
+            rep = build_rep(chart, (0, 0, 0))
             assert verify_adhm(rep), f"{spec} fixed point {k}: ADHM failed"
             assert krylov_dim(rep) == order
             rng = seeded_rng(608, k)
-            for point in sample_chart_points(gg, 5, rng):
-                rep = build_rep(G, point, cone=cone)
-                assert verify_adhm(rep), f"{spec} point {point.coords}: ADHM failed"
+            for point in sample_chart_points(5, rng):
+                rep = build_rep(chart, point)
+                assert verify_adhm(rep), f"{spec} point {point}: ADHM failed"
                 points_checked += 1
                 if all_b_invertible(rep):
                     assert cpxnil_homology(rep) == (0, 0, 0, 0)

@@ -196,3 +196,102 @@ def test_negative_pair_cap_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "pair cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["fixed-points", "--group", "7:1,2,4"], "fixed-points_7-1-2-4.json"),
+        # above the default oracle cap: no oracle_agreement key
+        (["fixed-points", "--group", "19:1,7,11"], "fixed-points_19-1-7-11.json"),
+        (["fan", "--group", "13:1,3,9"], "fan_13-1-3-9.json"),
+        (["fan", "--group", "3:1,2,0;3:0,1,2"], "fan_3-1-2-0_3-0-1-2.json"),
+    ],
+)
+def test_fixed_points_and_fan_json_match_golden(capsys, argv, golden, tmp_path):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+PLANTED_AT = 2
+
+
+def _plant_chart_error(monkeypatch):
+    from ghilb import toric
+
+    real = toric.chart_cone
+
+    def planted(G, pair, gg, owner):
+        if owner == PLANTED_AT:
+            raise toric.ChartError(f"planted fault at fixed point {owner}")
+        return real(G, pair, gg, owner=owner)
+
+    monkeypatch.setattr(toric, "chart_cone", planted)
+
+
+def _plant_fan_error(monkeypatch):
+    from ghilb import toric
+
+    def planted(G, pair, cones):
+        raise toric.FanError("planted fan fault", details={"facets": {"r1|r2": {"cones": [0]}}})
+
+    monkeypatch.setattr(toric, "build_fan", planted)
+
+
+def test_fan_reports_a_failed_chart(capsys, monkeypatch):
+    _plant_chart_error(monkeypatch)
+    code, out, _ = run(capsys, "fan", "--group", "7:1,2,4")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["charts"][PLANTED_AT] == {
+        "fixed_point": PLANTED_AT,
+        "smooth": False,
+        "error": f"planted fault at fixed point {PLANTED_AT}",
+    }
+    assert sum(1 for flag in payload["charts"] if flag["smooth"]) == 6
+    assert "rays" not in payload and "fan_error" not in payload
+
+
+def test_verify_reports_a_failed_chart(capsys, monkeypatch):
+    _plant_chart_error(monkeypatch)
+    code, out, err = run(capsys, "verify", "--group", "7:1,2,4", "--samples", "1")
+    assert code == 1
+    report = json.loads(out)
+    checks = {c["name"]: c for c in report["checks"]}
+    charts = checks["charts_smooth_crepant"]
+    assert charts["status"] == "fail"
+    assert charts["details"] == {
+        "errors": [{"fixed_point": PLANTED_AT, "error": f"planted fault at fixed point {PLANTED_AT}"}],
+        "cones": 6,
+    }
+    assert checks["fan"]["details"] == {"error": "charts failed; fan not assembled"}
+    assert checks["koszul_pairs"]["details"] == {"error": "charts failed; homology not computed"}
+    assert checks["chart_samples"]["details"] == {"error": "charts failed; samples not computed"}
+    assert all(checks[name]["status"] == "fail" for name in ("fan", "koszul_pairs", "chart_samples"))
+    assert "fan" not in report
+    assert "first failing check: charts_smooth_crepant" in err
+
+
+def test_fan_reports_a_fan_error(capsys, monkeypatch):
+    _plant_fan_error(monkeypatch)
+    code, out, _ = run(capsys, "fan", "--group", "7:1,2,4")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["fan_error"] == {"message": "planted fan fault", "facets": {"r1|r2": {"cones": [0]}}}
+    assert all(flag["smooth"] for flag in payload["charts"])
+    assert "rays" not in payload
+
+
+def test_verify_reports_a_fan_error(capsys, monkeypatch):
+    _plant_fan_error(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--group", "7:1,2,4", "--samples", "1")
+    assert code == 1
+    report = json.loads(out)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["fan"]["details"] == {"error": "planted fan fault", "facets": {"r1|r2": {"cones": [0]}}}
+    assert checks["fan"]["status"] == "fail"
+    assert checks["charts_smooth_crepant"]["pass"] is True
+    assert checks["koszul_pairs"]["pass"] is True
+    assert "fan" not in report

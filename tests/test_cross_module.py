@@ -4,10 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import get_cones, get_fixed_points, get_group, get_lattices
+from conftest import get_charts, get_fixed_points, get_group, get_lattices
 from ghilb.groups import AbelianGroup, Generator, GroupSpec, GroupSpecError
 from ghilb.homcalc import hom_dim
-from ghilb.koszul import fixed_point_rep, koszul_homology
+from ghilb.koszul import build_rep, koszul_homology
 from ghilb.mckay import intersection_matrix, mckay_matrices
 from ghilb.verify import verification_report
 
@@ -20,8 +20,7 @@ def test_middle_koszul_homology_matches_hom_dim(spec):
     # projection is quotiented away
     G = get_group(spec)
     fps = get_fixed_points(spec)
-    cones = get_cones(spec)
-    reps = [fixed_point_rep(G, gg, cone=c) for gg, c in zip(fps, cones)]
+    reps = [build_rep(c, (0, 0, 0)) for c in get_charts(spec)]
     for i, rep1 in enumerate(reps):
         for j, rep2 in enumerate(reps):
             h = koszul_homology(G, rep1, rep2)

@@ -12,16 +12,15 @@ from _oracles import (
     rewrite_matrices,
     support_check_walk,
 )
-from conftest import SUITE_3D, get_cones, get_fixed_points, get_group
+from conftest import SUITE_3D, get_charts, get_cones, get_fixed_points, get_group
 from ghilb.toric import ChartError
 from ghilb.verify import seeded_rng
 from ghilb.koszul import (
-    ChartPoint,
     all_b_invertible,
     build_rep,
+    chart,
     cpxnil_differentials,
     cpxnil_homology,
-    fixed_point_rep,
     koszul_differentials,
     koszul_homology,
     krylov_dim,
@@ -40,11 +39,8 @@ CLOSED_FORM_SPECS = [spec for spec, _ in SUITE_3D] + [
 
 
 def _rep_at(spec, fp_index, coords):
-    G = get_group(spec)
-    gg = get_fixed_points(spec)[fp_index]
-    cone = get_cones(spec)[fp_index]
-    point = ChartPoint(base=gg, coords=tuple(Fraction(c) for c in coords))
-    return G, build_rep(G, point, cone=cone)
+    coords = tuple(Fraction(c) for c in coords)
+    return get_group(spec), build_rep(get_charts(spec)[fp_index], coords)
 
 
 def test_involution_chart_matrices_frozen():
@@ -68,12 +64,10 @@ def test_closed_form_matches_rewriting(spec):
     G = get_group(spec)
     for k, gg in enumerate(get_fixed_points(spec)):
         cone = get_cones(spec)[k]
-        (point,) = sample_chart_points(gg, 1, seeded_rng(41, k))
+        (point,) = sample_chart_points(1, seeded_rng(41, k))
         for mask in range(8):
-            coords = tuple(
-                Fraction(0) if mask >> i & 1 else c for i, c in enumerate(point.coords)
-            )
-            rep = build_rep(G, ChartPoint(base=gg, coords=coords), cone=cone)
+            coords = tuple(Fraction(0) if mask >> i & 1 else c for i, c in enumerate(point))
+            rep = build_rep(get_charts(spec)[k], coords)
             assert dense_matrices(rep)[0] == rewrite_matrices(G, gg, coords, cone), (k, coords)
 
 
@@ -82,18 +76,16 @@ def test_cone_of_another_fixed_point_is_refused(spec):
     G = get_group(spec)
     cones = get_cones(spec)
     for k, gg in enumerate(get_fixed_points(spec)):
-        (point,) = sample_chart_points(gg, 1, seeded_rng(43, k))
         for j, cone in enumerate(cones):
             if j != k:
                 with pytest.raises(ChartError, match="not this staircase's chart"):
-                    build_rep(G, point, cone=cone)
+                    chart(G, gg, cone)
 
 
 def test_fixed_point_rep_is_staircase_truncation():
     for spec in SMALL_SPECS:
-        G = get_group(spec)
         for k, gg in enumerate(get_fixed_points(spec)):
-            rep = fixed_point_rep(G, gg, cone=get_cones(spec)[k])
+            rep = build_rep(get_charts(spec)[k], (0, 0, 0))
             b, _ = dense_matrices(rep)
             index = {m: i for i, m in enumerate(gg.gamma)}
             for alpha in range(3):
@@ -112,18 +104,17 @@ def test_fixed_point_rep_is_staircase_truncation():
 
 def test_zero_coordinates_recover_fixed_point():
     G, rep = _rep_at("3:1,1,1", 0, (0, 0, 0))
-    gg = get_fixed_points("3:1,1,1")[0]
-    fixed = fixed_point_rep(G, gg, cone=get_cones("3:1,1,1")[0])
+    fixed = build_rep(get_charts("3:1,1,1")[0], (0, 0, 0))
     assert dense_matrices(rep) == dense_matrices(fixed)
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_random_chart_points_satisfy_adhm(spec):
     G = get_group(spec)
-    for k, gg in enumerate(get_fixed_points(spec)):
+    for k, chart_k in enumerate(get_charts(spec)):
         rng = seeded_rng(17, k)
-        for point in sample_chart_points(gg, 3, rng):
-            rep = build_rep(G, point, cone=get_cones(spec)[k])
+        for point in sample_chart_points(3, rng):
+            rep = build_rep(chart_k, point)
             assert verify_adhm(rep)
             assert krylov_dim(rep) == G.order
 
@@ -156,11 +147,10 @@ def test_cyclicity_fails_without_seed_reachability():
 
 def test_nil_complex_exact_at_invertible_points():
     for spec in SMALL_SPECS:
-        G = get_group(spec)
-        for k, gg in enumerate(get_fixed_points(spec)):
+        for k, chart_k in enumerate(get_charts(spec)):
             rng = seeded_rng(23, k)
-            point = sample_chart_points(gg, 1, rng)[0]
-            rep = build_rep(G, point, cone=get_cones(spec)[k])
+            point = sample_chart_points(1, rng)[0]
+            rep = build_rep(chart_k, point)
             assert all_b_invertible(rep)
             assert cpxnil_homology(rep) == (0, 0, 0, 0)
 
@@ -179,9 +169,7 @@ def test_invertibility_needs_a_permutation():
 
 
 def test_nil_complex_at_fixed_point():
-    G = get_group("3:1,1,1")
-    gg = get_fixed_points("3:1,1,1")[0]
-    rep = fixed_point_rep(G, gg, cone=get_cones("3:1,1,1")[0])
+    rep = build_rep(get_charts("3:1,1,1")[0], (0, 0, 0))
     assert not all_b_invertible(rep)
     h3, h2, h1, h0 = cpxnil_homology(rep)
     assert (h3, h2, h1, h0) != (0, 0, 0, 0)
@@ -210,11 +198,7 @@ def test_differentials_compose_to_zero():
     d3, d2, d1 = (dense(d, w) for d, w in zip(cpxnil_differentials(rep), widths))
     assert not any(any(row) for row in mat_mul(d2, d3))
     assert not any(any(row) for row in mat_mul(d1, d2))
-    other = fixed_point_rep(
-        get_group("2:1,1,0;2:1,0,1"),
-        get_fixed_points("2:1,1,0;2:1,0,1")[0],
-        cone=get_cones("2:1,1,0;2:1,0,1")[0],
-    )
+    other = build_rep(get_charts("2:1,1,0;2:1,0,1")[0], (0, 0, 0))
     k3, k2, k1 = (dense(d, w) for d, w in zip(koszul_differentials(G, rep, other), widths))
     assert not any(any(row) for row in mat_mul(k2, k3))
     assert not any(any(row) for row in mat_mul(k1, k2))
@@ -227,9 +211,9 @@ def test_chart_point_against_itself_with_a_zero_weight():
     G = get_group(spec)
     n = G.order
     widths = (n, 3 * n, 3 * n)
-    for k, gg in enumerate(get_fixed_points(spec)):
-        (point,) = sample_chart_points(gg, 1, seeded_rng(5, k))
-        rep = build_rep(G, point, cone=get_cones(spec)[k])
+    for k, chart_k in enumerate(get_charts(spec)):
+        (point,) = sample_chart_points(1, seeded_rng(5, k))
+        rep = build_rep(chart_k, point)
         assert koszul_homology(G, rep, rep) == (1, 3, 3, 1)
         k3, k2, k1 = (dense(d, w) for d, w in zip(koszul_differentials(G, rep, rep), widths))
         assert not any(any(row) for row in mat_mul(k2, k3))
@@ -239,9 +223,7 @@ def test_chart_point_against_itself_with_a_zero_weight():
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_koszul_homology_fixed_pairs(spec):
     G = get_group(spec)
-    fps = get_fixed_points(spec)
-    cones = get_cones(spec)
-    reps = [fixed_point_rep(G, gg, cone=c) for gg, c in zip(fps, cones)]
+    reps = [build_rep(c, (0, 0, 0)) for c in get_charts(spec)]
     table = {}
     for i, rep1 in enumerate(reps):
         for j, rep2 in enumerate(reps):
@@ -257,12 +239,12 @@ def test_koszul_homology_fixed_pairs(spec):
 def test_same_chart_distinct_points_are_exact():
     for spec in ("2:1,1,0", "3:1,1,1"):
         G = get_group(spec)
-        for k, gg in enumerate(get_fixed_points(spec)):
+        for k, chart_k in enumerate(get_charts(spec)):
             rng = seeded_rng(31, k)
-            p1, p2 = sample_chart_points(gg, 2, rng)
-            assert p1.coords != p2.coords
-            rep1 = build_rep(G, p1, cone=get_cones(spec)[k])
-            rep2 = build_rep(G, p2, cone=get_cones(spec)[k])
+            p1, p2 = sample_chart_points(2, rng)
+            assert p1 != p2
+            rep1 = build_rep(chart_k, p1)
+            rep2 = build_rep(chart_k, p2)
             assert koszul_homology(G, rep1, rep2) == (0, 0, 0, 0)
 
 
@@ -290,11 +272,10 @@ def test_support_check_irrational_spectrum_case():
 @pytest.mark.parametrize("spec,order", SUITE_3D)
 def test_support_check_decides_chart_samples_and_fixed_points(spec, order):
     G = get_group(spec)
-    for k, gg in enumerate(get_fixed_points(spec)):
-        cone = get_cones(spec)[k]
-        assert not support_check(G, fixed_point_rep(G, gg, cone=cone))
-        for point in sample_chart_points(gg, 5, seeded_rng(0, k)):
-            assert support_check(G, build_rep(G, point, cone=cone))
+    for k, chart_k in enumerate(get_charts(spec)):
+        assert not support_check(G, build_rep(chart_k, (0, 0, 0)))
+        for point in sample_chart_points(5, seeded_rng(0, k)):
+            assert support_check(G, build_rep(chart_k, point))
 
 
 def _rescaled(rep, alpha, col, factor):
@@ -308,9 +289,8 @@ def _rescaled(rep, alpha, col, factor):
 @pytest.mark.parametrize("spec", ["2:1,1,0", "3:1,1,1", "7:1,2,4", "2:1,1,0;2:1,0,1"])
 def test_support_check_fails_on_one_rescaled_coefficient(spec):
     G = get_group(spec)
-    gg = get_fixed_points(spec)[0]
-    point = sample_chart_points(gg, 1, seeded_rng(3))[0]
-    rep = build_rep(G, point, cone=get_cones(spec)[0])
+    point = sample_chart_points(1, seeded_rng(3))[0]
+    rep = build_rep(get_charts(spec)[0], point)
     assert support_check(G, rep)
     for alpha in range(3):
         for col in range(G.order):
@@ -363,16 +343,15 @@ def test_support_check_matches_the_walk(spec):
     # coefficients 1, so cycle products agree whatever the cycle lengths);
     # planted defects at seeded columns of the first sample and the unit point
     G = get_group(spec)
-    for k, gg in enumerate(get_fixed_points(spec)):
-        cone = get_cones(spec)[k]
-        fixed = fixed_point_rep(G, gg, cone=cone)
+    for k, chart_k in enumerate(get_charts(spec)):
+        fixed = build_rep(chart_k, (0, 0, 0))
         assert not support_check(G, fixed) and not support_check_walk(G, fixed)
-        samples = [build_rep(G, pt, cone=cone) for pt in sample_chart_points(gg, 5, seeded_rng(0, k))]
+        samples = [build_rep(chart_k, pt) for pt in sample_chart_points(5, seeded_rng(0, k))]
         for rep in samples:
             assert support_check(G, rep) == support_check_walk(G, rep), (k, rep.coords)
-        unit = build_rep(G, ChartPoint(base=gg, coords=(Fraction(1),) * 3), cone=cone)
+        unit = build_rep(chart_k, (Fraction(1),) * 3)
         rng = seeded_rng(47, k)
-        n = len(gg.gamma)
+        n = len(chart_k.gg.gamma)
         for rep in (samples[0], unit):
             for alpha in range(3):
                 for _ in range(3):
@@ -404,9 +383,7 @@ def test_off_pattern_entry_is_refused():
 def test_all_pairs_at_order_nineteen():
     spec = "19:1,7,11"
     G = get_group(spec)
-    fps = get_fixed_points(spec)
-    cones = get_cones(spec)
-    reps = [fixed_point_rep(G, gg, cone=c) for gg, c in zip(fps, cones)]
+    reps = [build_rep(c, (0, 0, 0)) for c in get_charts(spec)]
     table = {}
     for i, rep1 in enumerate(reps):
         for j, rep2 in enumerate(reps):
