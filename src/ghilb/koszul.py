@@ -26,12 +26,19 @@ coefficients whose cycle lengths divide R and whose cycle products agree
 after raising to R over the length.  At a fixed point every B is nilpotent
 and the check fails.
 
-Two complexes are built as sparse rows straight from the packed tables and
-ranked by ``linalg.rank_sparse``: the four-term wedge complex of a single
-module (exact whenever some B is invertible), and the two-module complex
-with differential B2 ^ eta - eta ^ B1 whose middle homology computes the
+Two complexes are built straight from the packed tables: the four-term
+wedge complex of a single module, whose homology at a fixed point is the
+Betti table of the staircase ideal, and the two-module complex with
+differential B2 ^ eta - eta ^ B1 whose middle homology computes the
 equivariant Hom into the quotient.  The character-line tables that complex
-reads are computed once per module (``ModuleRep.lines``).
+reads are computed once per module (``ModuleRep.lines``).  Both go through
+one homology route, ``reduced_homology``: every row of d3 and every column
+of d1 has at most two nonzeros, so ``linalg.two_term_basis`` finds a basis
+of each without elimination, those cells cancel, and only what is left of
+d2 is ranked by ``linalg.rank_sparse``.  The cancellation holds only on a
+true complex, so homology refuses a module whose B's do not commute
+(``ModuleRep.commutes``, checked once per module and shared with
+``verify_adhm``).
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import linalg, toric
 from .ggraph import GGraph
@@ -51,6 +58,7 @@ WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
 # Sign of x_gamma ^ (x_alpha ^ x_beta) against x ^ y ^ z, per wedge pair.
 WEDGE_SIGNS = (1, -1, 1)
 OFF_PATTERN = "multiplication matrix is not supported on its character-shift pattern"
+NOT_COMMUTING = "multiplication matrices do not commute, so the differentials are no complex"
 
 
 class Packed(NamedTuple):
@@ -134,6 +142,27 @@ class ModuleRep:
             by_char=[[cs[line_of[c]] for c in range(len(chars))] for cs in packed.coeffs],
         )
 
+    @cached_property
+    def commutes(self) -> bool:
+        """Whether the three B's commute, checked once per module.
+
+        The commutators are compared column by column on the packed tables:
+        both orders of a pair must vanish on a column together, or reach the
+        same line with the same coefficient.
+        """
+        coeffs, targets = self.packed.coeffs, self.packed.targets
+        for alpha, beta in WEDGE_PAIRS:
+            ca, ta, cb, tb = coeffs[alpha], targets[alpha], coeffs[beta], targets[beta]
+            for col in range(len(ca)):
+                alive_ab = ca[col] and cb[ta[col]]
+                alive_ba = cb[col] and ca[tb[col]]
+                if not (alive_ab and alive_ba):
+                    if alive_ab or alive_ba:
+                        return False
+                elif tb[ta[col]] != ta[tb[col]] or ca[col] * cb[ta[col]] != cb[col] * ca[tb[col]]:
+                    return False
+        return True
+
 
 def _shift_lines(G: AbelianGroup, gg: GGraph) -> list[list[int]]:
     """Per variable x_alpha and basis monomial m, the line of x_alpha * m's character."""
@@ -198,24 +227,8 @@ def build_rep(chart: Chart, coords: tuple) -> ModuleRep:
 
 
 def verify_adhm(rep: ModuleRep) -> bool:
-    """Exact commutator vanishing plus fullness of the cyclic span.
-
-    The commutators are compared column by column on the packed tables: both
-    orders of a pair must vanish on a column together, or reach the same line
-    with the same coefficient.
-    """
-    coeffs, targets = rep.packed.coeffs, rep.packed.targets
-    for alpha, beta in WEDGE_PAIRS:
-        ca, ta, cb, tb = coeffs[alpha], targets[alpha], coeffs[beta], targets[beta]
-        for col in range(len(ca)):
-            alive_ab = ca[col] and cb[ta[col]]
-            alive_ba = cb[col] and ca[tb[col]]
-            if not (alive_ab and alive_ba):
-                if alive_ab or alive_ba:
-                    return False
-            elif tb[ta[col]] != ta[tb[col]] or ca[col] * cb[ta[col]] != cb[col] * ca[tb[col]]:
-                return False
-    return krylov_dim(rep) == len(rep.gg.gamma)
+    """Exact commutator vanishing (ModuleRep.commutes) plus fullness of the cyclic span."""
+    return rep.commutes and krylov_dim(rep) == len(rep.gg.gamma)
 
 
 def krylov_dim(rep: ModuleRep) -> int:
@@ -293,6 +306,47 @@ def support_check(G: AbelianGroup, rep: ModuleRep) -> bool:
     return len(xyz) == 1
 
 
+class Complex(NamedTuple):
+    """A complex C3 -> C2 -> C1 -> C0 of dimensions n, 3n, 3n, n, as its homology reads it.
+
+    d3 is given by its rows, one per C2 cell, and d1 by its columns, one per
+    C1 cell; each has at most two nonzeros.  d2_rows(cells) builds the rows of
+    d2 at the given C1 cells only.
+    """
+
+    d3: list[dict]
+    d2_rows: Callable[[list[int]], list[dict]]
+    d1: list[dict]
+
+
+def reduced_homology(cx: Complex) -> tuple[int, int, int, int]:
+    """Homology (h3, h2, h1, h0) of a complex, ranking only what is left of d2.
+
+    linalg.two_term_basis picks a row basis S of d3 (C2 cells) and a column
+    basis T of d1 (C1 cells).  Because d2 d3 = 0, each S column of d2 lies in
+    the span of the other columns (im d3 is in ker d2 and projects onto the S
+    coordinates); because d1 d2 = 0, each T row of d2 is fixed by the other
+    rows (d1 is injective on the T coordinates).  So the rank of d2 is the
+    rank of d2 with rows T and columns S deleted, and no entry of d2 needs
+    updating.  The caller must know that cx is a complex.
+    """
+    n = len(cx.d1) // 3
+    kept = set(linalg.two_term_basis(cx.d3))
+    cut = set(linalg.two_term_basis(cx.d1))
+    residual = [
+        {col: value for col, value in row.items() if col not in kept}
+        for row in cx.d2_rows([cell for cell in range(3 * n) if cell not in cut])
+    ]
+    r3, r2, r1 = len(kept), linalg.rank_sparse(residual, 3 * n), len(cut)
+    return (n - r3, 3 * n - r2 - r3, 3 * n - r1 - r2, n - r1)
+
+
+def _require_commuting(*reps: ModuleRep) -> None:
+    """Raise unless every module's B's commute, so that its complexes square to zero."""
+    if not all(rep.commutes for rep in reps):
+        raise RuntimeError(NOT_COMMUTING)
+
+
 def _block_rows(packed: Packed, nrows: int, blocks) -> list[dict]:
     """Sparse rows of a block matrix whose block (p, q) is sign * B_alpha."""
     n = len(packed.coeffs[0])
@@ -304,11 +358,11 @@ def _block_rows(packed: Packed, nrows: int, blocks) -> list[dict]:
     return rows
 
 
-def cpxnil_differentials(rep: ModuleRep):
-    """The three differentials of the four-term wedge complex of one module.
+def cpxnil_differentials(rep: ModuleRep) -> Complex:
+    """The four-term wedge complex of one module.
 
-    As sparse rows: d3 = (B1; B2; B3), d2 = ((-B2, B1, 0); (-B3, 0, B1);
-    (0, -B3, B2)), d1 = (B3, -B2, B1).
+    d3 = (B1; B2; B3), d2 = ((-B2, B1, 0); (-B3, 0, B1); (0, -B3, B2)) and
+    d1 = (B3, -B2, B1), the last by columns.
     """
     packed = rep.packed
     n = len(rep.gg.gamma)
@@ -318,25 +372,22 @@ def cpxnil_differentials(rep: ModuleRep):
         3 * n,
         [(0, 0, -1, 1), (0, 1, 1, 0), (1, 0, -1, 2), (1, 2, 1, 0), (2, 1, -1, 2), (2, 2, 1, 1)],
     )
-    d1 = _block_rows(packed, n, [(0, 0, 1, 2), (0, 1, -1, 1), (0, 2, 1, 0)])
-    return d3, d2, d1
+    d1 = [
+        {t: sign * c} if c else {}
+        for sign, alpha in ((1, 2), (-1, 1), (1, 0))
+        for c, t in zip(packed.coeffs[alpha], packed.targets[alpha])
+    ]
+    return Complex(d3, lambda cells: [d2[cell] for cell in cells], d1)
 
 
 def cpxnil_homology(rep: ModuleRep) -> tuple[int, int, int, int]:
-    """Homology dimensions (h3, h2, h1, h0) of the four-term wedge complex."""
-    d3, d2, d1 = cpxnil_differentials(rep)
-    return _homology_of_ranks(len(rep.gg.gamma), d3, d2, d1)
+    """Homology dimensions (h3, h2, h1, h0) of the four-term wedge complex.
 
-
-def _homology_of_ranks(n, d3, d2, d1):
-    r3 = linalg.rank_sparse(d3, n)
-    r2 = linalg.rank_sparse(d2, 3 * n)
-    r1 = linalg.rank_sparse(d1, 3 * n)
-    h3 = n - r3
-    h2 = 3 * n - r2 - r3
-    h1 = 3 * n - r1 - r2
-    h0 = n - r1
-    return (h3, h2, h1, h0)
+    At a fixed point it is the Betti table (socle, beta2, beta1, 1) of the
+    staircase ideal; with some B invertible it is zero.
+    """
+    _require_commuting(rep)
+    return reduced_homology(cpxnil_differentials(rep))
 
 
 def _row(*entries) -> dict:
@@ -353,8 +404,8 @@ def _row(*entries) -> dict:
     return row
 
 
-def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep):
-    """Differentials of the two-module equivariant complex, as sparse rows.
+def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep) -> Complex:
+    """The two-module equivariant complex.
 
     The terms are the equivariant Homs of the first module into the wedge
     powers tensored with the second; each is packed on character lines, so
@@ -376,38 +427,49 @@ def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep):
         for i in range(n)
     ]
 
-    # d2: three blocks -> three wedge blocks.
-    d2 = [
-        _row(
-            (beta * n + i, b2[alpha][shifted1[beta][i]]),
-            (alpha * n + i, -b2[beta][shifted1[alpha][i]]),
-            (alpha * n + t1[beta][i], b1[beta][i]),
-            (beta * n + t1[alpha][i], -b1[alpha][i]),
-        )
-        for alpha, beta in WEDGE_PAIRS
-        for i in range(n)
-    ]
+    # d2: three blocks -> three wedge blocks, row p*n + i built on demand.
+    def d2_rows(cells):
+        rows = []
+        for cell in cells:
+            p, i = divmod(cell, n)
+            alpha, beta = WEDGE_PAIRS[p]
+            rows.append(
+                _row(
+                    (beta * n + i, b2[alpha][shifted1[beta][i]]),
+                    (alpha * n + i, -b2[beta][shifted1[alpha][i]]),
+                    (alpha * n + t1[beta][i], b1[beta][i]),
+                    (beta * n + t1[alpha][i], -b1[alpha][i]),
+                )
+            )
+        return rows
 
-    # d1: three wedge blocks -> packed Hom; signs of the top wedge product.
-    d1 = [[] for _ in range(n)]
+    # d1, by columns: three wedge blocks -> packed Hom; signs of the top
+    # wedge product.
+    d1 = [[] for _ in range(3 * n)]
     for p, (alpha, beta) in enumerate(WEDGE_PAIRS):
         third = 3 - alpha - beta
         sign = WEDGE_SIGNS[p]
         c2, wedge1, c1, s1 = b2[third], lines1.wedge_chars[p], b1[third], t1[third]
         for i in range(n):
-            d1[i].append((p * n + i, sign * c2[wedge1[i]]))
-            d1[i].append((p * n + s1[i], -sign * c1[i]))
+            d1[p * n + i].append((i, sign * c2[wedge1[i]]))
+            if c1[i]:
+                d1[p * n + s1[i]].append((i, -sign * c1[i]))
     d1 = [_row(*entries) for entries in d1]
 
-    return d3, d2, d1
+    return Complex(d3, d2_rows, d1)
 
 
 def koszul_homology(
     G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep
 ) -> tuple[int, int, int, int]:
-    """Homology (h3, h2, h1, h0) of the two-module equivariant complex."""
-    d3, d2, d1 = koszul_differentials(G, rep1, rep2)
-    return _homology_of_ranks(len(rep1.gg.gamma), d3, d2, d1)
+    """Homology (h3, h2, h1, h0) of the two-module equivariant complex.
+
+    Raises RuntimeError when a module is off its character lines or its B's
+    do not commute: then the differentials do not form a complex.
+    """
+    cx = koszul_differentials(G, rep1, rep2)
+    _require_commuting(rep1, rep2)
+    return reduced_homology(cx)
 
 
 def pair_report(i: int, j: int, h, expected) -> dict:

@@ -1,9 +1,11 @@
-"""Exact linear algebra: one sparse elimination kernel, HNF and 3x3 closed forms.
+"""Exact linear algebra: one sparse elimination kernel, two-term bases, HNF and 3x3 closed forms.
 
 ``rank_sparse`` is the package's only elimination.  It takes rows as dicts
 column -> value holding ints or Fractions, scales each row to a primitive
 integer row (which does not change the rank) and eliminates with integer
-row operations, so no quotient is ever formed.  ``hnf`` is the integer row
+row operations, so no quotient is ever formed.  ``two_term_basis`` needs no
+elimination: on rows with at most two nonzeros it finds a row basis by
+union-find over the columns, keeping exact ratios.  ``hnf`` is the integer row
 Hermite normal form used for the lattices; ``det3`` and ``adjugate3`` are
 the closed-form 3x3 determinant and adjugate of the chart and lattice
 bases.  Everything here is exact; no floating point is used anywhere in the
@@ -12,6 +14,7 @@ package.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -40,6 +43,76 @@ def rank_sparse(rows: list[dict[int, object]], ncols: int) -> int:
                 break
             row = _eliminate(row, pivot, lead)
     return len(pivots)
+
+
+def two_term_basis(rows: list[dict[int, object]]) -> list[int]:
+    """Indices of a row basis, first found first, of rows with at most two entries.
+
+    Entries are nonzero; the rank is the basis's length.  No row is
+    eliminated: columns are the nodes of a union-find forest, and a row
+    a*x_u + b*x_v = 0 is an edge that fixes x_v / x_u.  Each node keeps the
+    exact ratio of its value to its parent's, so every kernel vector is fixed
+    on a component by its value at the root, until a one-term row, or a
+    cycle whose ratios disagree, forces the whole component to zero.  A row
+    is independent of the rows before it exactly when it joins two
+    components that are not both forced to zero, or forces a free component
+    to zero.  Raises ValueError on a row with more than two entries.
+    """
+    parent: dict[int, int] = {}
+    ratio: dict = {}
+    forced: set[int] = set()
+
+    def find(u):
+        """(root, x_u / x_root) for a node that is not a root, compressing its path."""
+        path = []
+        while u in parent:
+            path.append(u)
+            u = parent[u]
+        scale = 1
+        for node in reversed(path):
+            scale = ratio[node] * scale
+            parent[node], ratio[node] = u, scale
+        return u, scale
+
+    basis = []
+    for index, row in enumerate(rows):
+        if len(row) == 2:
+            (u, a), (v, b) = row.items()
+            ru, pu = find(u) if u in parent else (u, 1)
+            rv, pv = find(v) if v in parent else (v, 1)
+            if ru == rv:
+                # a*pu + b*pv = 0 says the row holds on every kernel vector
+                if ru in forced or a * pu + b * pv == 0:
+                    continue
+                forced.add(ru)
+            elif ru in forced and rv in forced:
+                continue
+            else:
+                parent[rv] = ru
+                if ru in forced or rv in forced:
+                    forced.add(ru)
+                    ratio[rv] = 1
+                else:
+                    ratio[rv] = _quotient(-a * pu, b * pv)
+        elif len(row) == 1:
+            (u,) = row
+            root = find(u)[0] if u in parent else u
+            if root in forced:
+                continue
+            forced.add(root)
+        elif row:
+            raise ValueError(f"row {index} has {len(row)} entries, more than two")
+        else:
+            continue
+        basis.append(index)
+    return basis
+
+
+def _quotient(a, b):
+    """a / b, as an int when it is one."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return Fraction(a, b)
 
 
 def _primitive(row: dict) -> dict[int, int]:

@@ -16,6 +16,9 @@ character table and the lattice construction replace.
 rank_dense, kernel_dense, mat_mul and dense: dense Fraction Gaussian
 elimination and matrix products, against which the package's one sparse
 kernel (linalg.rank_sparse) and its sparse Koszul differentials are checked.
+dense_differentials and homology_full_ranks: a complex's differentials in
+full, and its homology from the three full ranks, against which
+koszul.reduced_homology's cancelled cells are checked.
 
 rewrite_matrices: the chart-point module's multiplication matrices by
 monomial rewriting with the seven chart relations, against which the
@@ -44,7 +47,7 @@ from ghilb.ggraph import (
     seven_generators,
 )
 from ghilb.groups import AbelianGroup
-from ghilb.koszul import COORD_EXPONENTS, ModuleRep, Packed
+from ghilb.koszul import COORD_EXPONENTS, Complex, ModuleRep, Packed
 from ghilb.linalg import rank_sparse
 from ghilb.toric import LatticePair
 
@@ -244,6 +247,25 @@ def mat_mul(a, b) -> list[list[Fraction]]:
 def dense(rows: list[dict], ncols: int) -> list[list]:
     """The dense list-of-rows form of sparse rows {column: value}."""
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def dense_differentials(cx: Complex) -> tuple[list[list], list[list], list[list]]:
+    """(d3, d2, d1) of a complex as dense list-of-rows matrices, every row of d2
+    built and d1 turned from columns back into rows."""
+    n = len(cx.d1) // 3
+    d1_columns = dense(cx.d1, n)
+    return (
+        dense(cx.d3, n),
+        dense(cx.d2_rows(range(3 * n)), 3 * n),
+        [list(row) for row in zip(*d1_columns)],
+    )
+
+
+def homology_full_ranks(cx: Complex) -> tuple[int, int, int, int]:
+    """(h3, h2, h1, h0) from the full ranks of d3, d2 and d1, no cell cancelled."""
+    n = len(cx.d1) // 3
+    r3, r2, r1 = (rank_dense(d) for d in dense_differentials(cx))
+    return (n - r3, 3 * n - r2 - r3, 3 * n - r1 - r2, n - r1)
 
 
 def rewrite_rules(gg: GGraph):

@@ -2,10 +2,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
-    dense,
+    dense_differentials,
     dense_matrices,
+    homology_full_ranks,
     mat_mul,
     module_from_dense,
     rank_dense,
@@ -13,8 +16,10 @@ from _oracles import (
     support_check_walk,
 )
 from conftest import SUITE_3D, get_charts, get_cones, get_fixed_points, get_group
+from ghilb import verify
+from ghilb.ggraph import MonomialIdeal
 from ghilb.toric import ChartError
-from ghilb.verify import seeded_rng
+from ghilb.verify import betti_table, seeded_rng
 from ghilb.koszul import (
     all_b_invertible,
     build_rep,
@@ -179,9 +184,7 @@ def test_nil_complex_at_fixed_point():
 def test_nil_complex_transpose_symmetry():
     G, rep = _rep_at("3:1,1,1", 0, (0, 0, 0))
     n = len(rep.gg.gamma)
-    d3, d2, d1 = (
-        dense(d, ncols) for d, ncols in zip(cpxnil_differentials(rep), (n, 3 * n, 3 * n))
-    )
+    d3, d2, d1 = dense_differentials(cpxnil_differentials(rep))
     r3, r2, r1 = (rank_dense(d) for d in (d3, d2, d1))
     t3, t2, t1 = (rank_dense(list(zip(*d))) for d in (d3, d2, d1))
     assert (r3, r2, r1) == (t3, t2, t1)
@@ -193,13 +196,11 @@ def test_nil_complex_transpose_symmetry():
 
 def test_differentials_compose_to_zero():
     G, rep = _rep_at("2:1,1,0;2:1,0,1", 2, (2, 3, 5))
-    n = len(rep.gg.gamma)
-    widths = (n, 3 * n, 3 * n)
-    d3, d2, d1 = (dense(d, w) for d, w in zip(cpxnil_differentials(rep), widths))
+    d3, d2, d1 = dense_differentials(cpxnil_differentials(rep))
     assert not any(any(row) for row in mat_mul(d2, d3))
     assert not any(any(row) for row in mat_mul(d1, d2))
     other = build_rep(get_charts("2:1,1,0;2:1,0,1")[0], (0, 0, 0))
-    k3, k2, k1 = (dense(d, w) for d, w in zip(koszul_differentials(G, rep, other), widths))
+    k3, k2, k1 = dense_differentials(koszul_differentials(G, rep, other))
     assert not any(any(row) for row in mat_mul(k2, k3))
     assert not any(any(row) for row in mat_mul(k1, k2))
 
@@ -209,13 +210,11 @@ def test_chart_point_against_itself_with_a_zero_weight():
     # the pair complex meets one column from both modules: nu - nu must cancel
     spec = "6:1,5,0"
     G = get_group(spec)
-    n = G.order
-    widths = (n, 3 * n, 3 * n)
     for k, chart_k in enumerate(get_charts(spec)):
         (point,) = sample_chart_points(1, seeded_rng(5, k))
         rep = build_rep(chart_k, point)
         assert koszul_homology(G, rep, rep) == (1, 3, 3, 1)
-        k3, k2, k1 = (dense(d, w) for d, w in zip(koszul_differentials(G, rep, rep), widths))
+        k3, k2, k1 = dense_differentials(koszul_differentials(G, rep, rep))
         assert not any(any(row) for row in mat_mul(k2, k3))
         assert not any(any(row) for row in mat_mul(k1, k2))
 
@@ -392,3 +391,87 @@ def test_all_pairs_at_order_nineteen():
     for (i, j), h in table.items():
         assert h == ((1, 3, 3, 1) if i == j else (0, 0, 0, 0))
         assert h[2] == table[(j, i)][1]
+
+
+def test_non_commuting_module_is_refused():
+    # one coefficient of B1 changed on its own line: the module stays on its
+    # character lines, but its B's no longer commute, so neither complex
+    # squares to zero
+    G, rep = _rep_at("3:1,1,1", 1, (1, 2, 3))
+    b, _ = dense_matrices(rep)
+    b1 = [list(row) for row in b[0]]
+    row = next(r for r in range(3) if b1[r][0])
+    b1[row][0] += 1
+    broken = module_from_dense(rep, (b1, b[1], b[2]))
+    assert not broken.commutes
+    assert not verify_adhm(broken)
+    for pair in ((broken, rep), (rep, broken)):
+        with pytest.raises(RuntimeError, match="do not commute"):
+            koszul_homology(G, *pair)
+    with pytest.raises(RuntimeError, match="do not commute"):
+        cpxnil_homology(broken)
+
+
+HOMOLOGY_SPECS = ["2:1,1,0", "3:1,1,1", "5:1,2,2", "6:1,5,0", "7:1,2,4", "2:1,1,0;2:1,0,1"]
+VALUE = st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)))
+
+
+@st.composite
+def planted_modules(draw, spec):
+    """A module of spec at a fixed point or a chart point with some
+    coordinates zero, with planted changes that keep it commuting: a diagonal
+    change of basis, which rescales every coefficient on its own, and a
+    scalar on each B, zero among them, which drops ranks."""
+    charts = get_charts(spec)
+    chart_k = charts[draw(st.integers(0, len(charts) - 1))]
+    coords = draw(st.tuples(*[st.one_of(st.just(0), VALUE)] * 3))
+    rep = build_rep(chart_k, tuple(Fraction(c) for c in coords))
+    n = len(chart_k.gg.gamma)
+    diagonal = draw(st.lists(VALUE, min_size=n, max_size=n))
+    scales = draw(st.tuples(*[st.one_of(st.just(1), st.just(0), VALUE)] * 3))
+    mats = [
+        [[scale * diagonal[r] * x / diagonal[c] for c, x in enumerate(row)] for r, row in enumerate(mat)]
+        for mat, scale in zip(dense_matrices(rep)[0], scales)
+    ]
+    planted = module_from_dense(rep, mats)
+    assert planted.commutes
+    return planted
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reduced_homology_matches_full_ranks(data):
+    spec = data.draw(st.sampled_from(HOMOLOGY_SPECS))
+    G = get_group(spec)
+    rep1, rep2 = data.draw(planted_modules(spec)), data.draw(planted_modules(spec))
+    for a, b in ((rep1, rep2), (rep2, rep1), (rep1, rep1)):
+        assert koszul_homology(G, a, b) == homology_full_ranks(koszul_differentials(G, a, b))
+    assert cpxnil_homology(rep1) == homology_full_ranks(cpxnil_differentials(rep1))
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+def test_wedge_homology_at_fixed_points_is_the_betti_table(spec):
+    for gg, chart_k in zip(get_fixed_points(spec), get_charts(spec)):
+        assert cpxnil_homology(build_rep(chart_k, (0, 0, 0))) == betti_table(gg)
+
+
+def test_fixed_point_betti_names_planted_defects():
+    spec = "13:1,3,9"
+    G, fps = get_group(spec), list(get_fixed_points(spec))
+    reps = [build_rep(c, (0, 0, 0)) for c in get_charts(spec)]
+    check = verify._fixed_point_betti_check(G, fps, reps)
+    assert check["pass"] and check["details"] == {"failures": [], "checked": 13, "total": 13}
+    tables = [betti_table(gg) for gg in fps]
+    # a generator dropped from the ideal of fixed point k
+    k = next(k for k, gg in enumerate(fps) if len(gg.ideal.gens) > 3)
+    dropped = list(fps)
+    dropped[k] = replace(fps[k], ideal=MonomialIdeal(fps[k].ideal.gens[1:]))
+    check = verify._fixed_point_betti_check(G, dropped, reps)
+    assert not check["pass"]
+    assert [f["fixed_point"] for f in check["details"]["failures"]] == [k]
+    # the modules of two fixed points with different Betti tables swapped
+    j = next(j for j in range(len(fps)) if tables[j] != tables[k])
+    swapped = list(reps)
+    swapped[j], swapped[k] = reps[k], reps[j]
+    check = verify._fixed_point_betti_check(G, fps, swapped)
+    assert [f["fixed_point"] for f in check["details"]["failures"]] == sorted((j, k))

@@ -1,14 +1,18 @@
-"""The sparse rank kernel and the 3x3 closed forms against dense references."""
+"""The sparse rank kernel, the two-term basis and the 3x3 closed forms against dense references."""
 
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import rank_dense
+from conftest import get_charts, get_group
 from ghilb import linalg
+from ghilb.koszul import build_rep, koszul_differentials, sample_chart_points
 from ghilb.toric import inverse_transpose
+from ghilb.verify import seeded_rng
 
 ENTRY = st.one_of(
     st.just(0),
@@ -112,3 +116,87 @@ def test_rows_are_scaled_to_primitive_integer_rows():
     assert linalg._primitive({0: Fraction(2, 3), 1: 4, 2: 0}) == {0: 1, 1: 6}
     assert linalg._primitive({3: -6, 5: 9}) == {3: -2, 5: 3}
     assert linalg._primitive({}) == {}
+
+
+def _two_term_checked(rows, ncols):
+    """two_term_basis(rows), after checking it against rank_dense: as many
+    rows as the rank, and the chosen rows independent."""
+    basis = linalg.two_term_basis(rows)
+    mat = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    assert len(basis) == rank_dense(mat)
+    assert rank_dense([mat[i] for i in basis]) == len(basis)
+    return basis
+
+
+def test_two_term_basis_one_term_rows():
+    # a repeated one-term row is dependent; a row into a column forced to
+    # zero still counts when its other column is free
+    rows = [{0: 3}, {0: Fraction(1, 2)}, {2: -1}, {}, {1: 5, 2: 1}, {1: Fraction(2, 7)}]
+    assert _two_term_checked(rows, 3) == [0, 2, 4]
+
+
+def test_two_term_basis_cycle_whose_ratios_agree():
+    # x1 = x0 / 2, x2 = x1 / 3, and x2 = x0 / 6 closes the cycle consistently
+    rows = [{0: 1, 1: -2}, {1: Fraction(1, 3), 2: -1}, {0: Fraction(1, 6), 2: -1}]
+    assert _two_term_checked(rows, 3) == [0, 1]
+
+
+def test_two_term_basis_cycle_whose_ratios_disagree():
+    # x2 = x0 / 5 contradicts the path, forcing the component to zero; a
+    # one-term row on it afterwards is dependent
+    rows = [{0: 1, 1: -2}, {1: 1, 2: -3}, {0: 1, 2: -5}, {1: 4}, {0: 2, 2: Fraction(-1, 3)}]
+    assert _two_term_checked(rows, 3) == [0, 1, 2]
+
+
+def test_two_term_basis_bridge_between_forced_components():
+    # {0, 1} is forced by a one-term row, {2, 3} by a cycle of ratio -1; the
+    # bridge between them is dependent, a bridge to a free column is not
+    rows = [{0: 1, 1: 1}, {1: 2}, {2: 1, 3: -1}, {2: 1, 3: 1}, {0: 4, 3: 7}, {3: 1, 4: -1}]
+    assert _two_term_checked(rows, 5) == [0, 1, 2, 3, 5]
+
+
+def test_two_term_basis_refuses_a_three_term_row():
+    with pytest.raises(ValueError, match="more than two"):
+        linalg.two_term_basis([{0: 1}, {0: 1, 1: 1, 2: 1}])
+
+
+def test_two_term_basis_on_the_coinciding_columns_of_a_zero_weight():
+    # z acts on 6:1,5,0 by the scalar nu on its own line, so each z-row of a
+    # module's pair complex with itself sums nu - nu on one column to an
+    # empty row
+    G = get_group("6:1,5,0")
+    for k, chart in enumerate(get_charts("6:1,5,0")):
+        (point,) = sample_chart_points(1, seeded_rng(5, k))
+        rep = build_rep(chart, point)
+        cx = koszul_differentials(G, rep, rep)
+        n = G.order
+        assert sum(1 for row in cx.d3 if not row) == n
+        assert len(_two_term_checked(cx.d3, n)) == n - 1
+        assert len(_two_term_checked(cx.d1, n)) == n - 1
+
+
+@st.composite
+def two_term_rows(draw):
+    """Rows of at most two nonzeros on few columns, so that cycles and forced
+    components are common; few distinct values and copies of the ratio of an
+    earlier row make consistent cycles common too."""
+    ncols = draw(st.integers(min_value=2, max_value=6))
+    nonzero = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        size = draw(st.sampled_from((0, 1, 2, 2, 2)))
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=size, max_size=size, unique=True))
+        row = {c: draw(nonzero) for c in cols}
+        if len(row) == 2 and rows and draw(st.booleans()):
+            scale = draw(nonzero)
+            earlier = draw(st.sampled_from(rows))
+            if len(earlier) == 2:
+                row = {c: scale * v for c, v in earlier.items()}
+        rows.append(row)
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=two_term_rows())
+def test_two_term_basis_equals_dense_reference(case):
+    _two_term_checked(*case)
