@@ -5,7 +5,9 @@ UTF-8 JSON on stdout (plus optional files), except the quiver DOT source
 which can be written separately.  Exit codes: 0 success, 1 verification
 failure, 2 input error (a bad group spec or option, or an output path that
 cannot be written), 3 internal fault (any other exception, reported as a
-JSON record {"error": {"type", "message"}}).
+JSON record {"error": {"type", "message", "layer"}}, where layer names the
+innermost function of the traceback that lies in this package, as
+module.function, e.g. "toric.chart_cone").
 
 ``main`` is the in-process entry: it returns 0, 1 or 2 and lets an internal
 fault propagate, so a caller that embeds the CLI sees the exception itself.
@@ -19,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import ggraph, mckay, toric, verify
 from .groups import AbelianGroup, GroupSpec, GroupSpecError
@@ -203,12 +206,34 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+PACKAGE_DIR = Path(__file__).resolve().parent
+
+
+def fault_layer(exc: BaseException) -> str | None:
+    """module.function of the innermost traceback frame in this package, or None.
+
+    Frames are matched by their source file, so the answer is the same when
+    this module runs as ``__main__``.
+    """
+    layer = None
+    tb = exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        path = Path(code.co_filename)
+        if path.resolve().parent == PACKAGE_DIR:
+            layer = f"{path.stem}.{code.co_name}"
+        tb = tb.tb_next
+    return layer
+
+
 def console_main(argv: list[str] | None = None) -> int:
     """``main`` with an internal fault reported as exit 3 and a JSON record."""
     try:
         return main(argv)
     except Exception as exc:  # the input was valid, so the fault is ours
-        record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        record = {
+            "error": {"type": type(exc).__name__, "message": str(exc), "layer": fault_layer(exc)}
+        }
         sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

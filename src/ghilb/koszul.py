@@ -12,7 +12,10 @@ exponent means the cone is not the staircase's chart and raises
 ``toric.ChartError``.  What depends only on the staircase and the cone,
 each column's target line and exponent triple, is computed once per fixed
 point (``chart``); a module at a chart point then costs only the power
-tables of its coordinates (``build_rep``).
+tables of its coordinates (``build_rep``).  Its coefficients are held as
+int numerators over one positive module denominator D, the product of
+each coordinate's denominator to the chart's top exponent on it, so no
+check does Fraction arithmetic.
 
 Equivariance makes every multiplication matrix a generalized permutation
 matrix on character lines, each of dimension one, and a module is built in
@@ -24,14 +27,19 @@ over a free orbit, so x^R, y^R, z^R and xyz must each act as one nonzero
 scalar, which holds exactly when every B is a permutation with nonzero
 coefficients whose cycle lengths divide R and whose cycle products agree
 after raising to R over the length.  At a fixed point every B is nilpotent
-and the check fails.
+and the check fails.  All of these checks, and the wedge complex below,
+are homogeneous in one module's coefficients, so D cancels and they read
+the numerators as they are.
 
 Two complexes are built straight from the packed tables: the four-term
 wedge complex of a single module, whose homology at a fixed point is the
 Betti table of the staircase ideal, and the two-module complex with
 differential B2 ^ eta - eta ^ B1 whose middle homology computes the
 equivariant Hom into the quotient.  The character-line tables that complex
-reads are computed once per module (``ModuleRep.lines``).  Both go through
+reads are computed once per module (``ModuleRep.lines``); it mixes two
+modules, so when their denominators D1 and D2 differ each module's
+numerators are first scaled to the other's denominator, which makes every
+differential one nonzero multiple of the true one.  Both go through
 one homology route, ``reduced_homology``: every row of d3 and every column
 of d1 has at most two nonzeros, so ``linalg.two_term_basis`` finds a basis
 of each without elimination, those cells cancel, and only what is left of
@@ -47,6 +55,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, NamedTuple
 
 from . import linalg, toric
@@ -64,22 +73,29 @@ NOT_COMMUTING = "multiplication matrices do not commute, so the differentials ar
 class Packed(NamedTuple):
     """Generalized permutation form of a module's three matrices.
 
-    Column k of B_alpha is coeffs[alpha][k] times basis vector
+    Column k of B_alpha is coeffs[alpha][k] / denominator times basis vector
     targets[alpha][k]; the target of a zero coefficient is never read.  seed
-    is the line of the cyclic vector, None when it is zero.  Integral
-    coefficients are ints.
+    is the line of the cyclic vector, None when it is zero.  build_rep gives
+    int numerators over one positive int denominator D.  The checks on one
+    module read the numerators as they are, since D cancels: it scales both
+    sides of a commutator comparison by D^2, every cycle product raised to
+    R over its length by D^R, every xyz product by D^3 and each wedge
+    differential by D.  The pair complex mixes two modules and scales each
+    to the other's denominator first (koszul_differentials).
     """
 
     coeffs: tuple[list, list, list]
     targets: tuple[list[int], list[int], list[int]]
     seed: int | None
+    denominator: int = 1
 
 
 class Chart(NamedTuple):
     """One fixed point's chart, as the table its modules are read from.
 
     Column k of B_alpha has target line targets[alpha][k] and coefficient the
-    product of the coordinates raised to exponents[slots[alpha][k]].
+    product of the coordinates raised to exponents[slots[alpha][k]]; top is
+    the largest exponent on each coordinate.
     """
 
     group: AbelianGroup
@@ -87,6 +103,7 @@ class Chart(NamedTuple):
     targets: tuple[list[int], list[int], list[int]]
     exponents: tuple[tuple[int, int, int], ...]
     slots: tuple[list[int], list[int], list[int]]
+    top: tuple[int, int, int]
 
 
 class Lines(NamedTuple):
@@ -203,26 +220,32 @@ def chart(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> Chart:
                 exponents.append(power)
             column.append(slot_of.setdefault(tuple(exponents), len(slot_of)))
         slots.append(column)
-    return Chart(G, gg, tuple(targets), tuple(slot_of), tuple(slots))
+    top = tuple(max(key[i] for key in slot_of) for i in range(3))
+    return Chart(G, gg, tuple(targets), tuple(slot_of), tuple(slots), top)
 
 
 def build_rep(chart: Chart, coords: tuple) -> ModuleRep:
-    """The module at the chart point with these coordinates, packed.
+    """The module at the chart point with these coordinates, packed on ints.
 
-    Each distinct exponent triple of the chart is raised once, from
-    per-coordinate power tables; (0, 0, 0) gives the fixed point's module.
+    With coordinate i equal to p_i / q_i and E_i the chart's top exponent on
+    it, the module denominator is D = prod q_i^E_i and the numerator of the
+    coefficient with exponents e is prod p_i^e_i * q_i^(E_i - e_i), read
+    from one integer table per coordinate; each distinct exponent triple is
+    raised once, and (0, 0, 0) gives the fixed point's module.
     """
-    powers = [[1] for _ in coords]
-    values = []
-    for key in chart.exponents:
-        coeff = 1
-        for table, coord, power in zip(powers, coords, key):
-            while len(table) <= power:
-                table.append(table[-1] * coord)
-            coeff *= table[power]
-        values.append(coeff.numerator if coeff.denominator == 1 else coeff)
+    tables = []
+    denominator = 1
+    for coord, top in zip(coords, chart.top):
+        p, q = coord.numerator, coord.denominator
+        table = [q**top]
+        for _ in range(top):
+            table.append(table[-1] // q * p)
+        tables.append(table)
+        denominator *= table[0]
+    tx, ty, tz = tables
+    values = [tx[i] * ty[j] * tz[k] for i, j, k in chart.exponents]
     coeffs = tuple([values[s] for s in column] for column in chart.slots)
-    packed = Packed(coeffs, chart.targets, chart.gg.gamma.index((0, 0, 0)))
+    packed = Packed(coeffs, chart.targets, chart.gg.gamma.index((0, 0, 0)), denominator)
     return ModuleRep(group=chart.group, gg=chart.gg, coords=coords, packed=packed)
 
 
@@ -412,12 +435,20 @@ def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep) -> C
     the spaces have dimensions n, 3n, 3n, n.  The differential is the
     graded commutator with the two multiplication maps.  Every entry is read
     from the first module's packed tables and the two modules' character-line
-    tables.
+    tables.  Those hold numerators over each module's denominator D1, D2;
+    when these differ, the first module's numerators are multiplied by
+    D2 / g and the second's by D1 / g, g = gcd(D1, D2), so that every
+    differential is D1 * D2 / g times the true one and has its rank.
     """
     if rep1.group is not G or rep2.group is not G:
         raise ValueError("both modules must be modules of this group")
     lines1, b2 = rep1.lines, rep2.lines.by_char
-    (b1, t1, _), chars1, shifted1 = rep1.packed, rep1.gg.char_index, lines1.shifted_chars
+    (b1, t1, _, den1), chars1, shifted1 = rep1.packed, rep1.gg.char_index, lines1.shifted_chars
+    den2 = rep2.packed.denominator
+    if den1 != den2:
+        g = gcd(den1, den2)
+        b1 = [[c * (den2 // g) for c in cs] for cs in b1]
+        b2 = [[c * (den1 // g) for c in cs] for cs in b2]
     n = len(chars1)
 
     # d3: packed Hom -> three packed blocks.

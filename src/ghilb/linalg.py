@@ -116,7 +116,15 @@ def _quotient(a, b):
 
 
 def _primitive(row: dict) -> dict[int, int]:
-    """The row scaled to coprime integers, with its zero entries dropped."""
+    """The row scaled to coprime integers, with its zero entries dropped.
+
+    A row of nonzero ints with content 1, every row of the Koszul complexes
+    at fixed points among them, is returned as it is, not copied.
+    """
+    values = row.values()
+    if all(type(v) is int and v for v in values):
+        content = gcd(*values)
+        return row if content == 1 else {c: v // content for c, v in row.items()}
     denom = lcm(*(v.denominator for v in row.values()))
     row = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
     content = gcd(*row.values())
@@ -128,13 +136,12 @@ def _primitive(row: dict) -> dict[int, int]:
 def _eliminate(row: dict[int, int], pivot: dict[int, int], lead: int) -> dict[int, int]:
     """a*row - b*pivot, made primitive, where a and b cancel the lead column.
 
-    The row is owned by the caller's loop and is updated in place when a = 1.
+    The result is a new dict: the row may be the caller's own (_primitive).
     """
     a, b = pivot[lead], row[lead]
     g = gcd(a, b)
     a, b = a // g, b // g
-    if a != 1:
-        row = {c: a * v for c, v in row.items()}
+    row = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
     for c, v in pivot.items():
         value = row.get(c, 0) - b * v
         if value:

@@ -24,6 +24,10 @@ rewrite_matrices: the chart-point module's multiplication matrices by
 monomial rewriting with the seven chart relations, against which the
 closed form of koszul.chart and koszul.build_rep is checked.
 
+build_rep_fractions: the chart-point module with Fraction coefficients over
+denominator 1, against which koszul.build_rep's int numerators over one
+module denominator are checked.
+
 dense_matrices, pack_dense and module_from_dense: the dense view of a packed
 module and the dense packing scan back, through which tests build corrupted
 modules entry by entry.  support_check_walk: the support check as an R-step
@@ -47,7 +51,7 @@ from ghilb.ggraph import (
     seven_generators,
 )
 from ghilb.groups import AbelianGroup
-from ghilb.koszul import COORD_EXPONENTS, Complex, ModuleRep, Packed
+from ghilb.koszul import COORD_EXPONENTS, Chart, Complex, ModuleRep, Packed
 from ghilb.linalg import rank_sparse
 from ghilb.toric import LatticePair
 
@@ -325,15 +329,33 @@ def rewrite_matrices(G: AbelianGroup, gg: GGraph, coords, cone) -> tuple:
     return tuple(mats)
 
 
+def build_rep_fractions(chart: Chart, coords: tuple) -> ModuleRep:
+    """The module at the chart point with these coordinates, each coefficient
+    the product of Fraction powers of the coordinates (ints when integral)."""
+    powers = [[1] for _ in coords]
+    values = []
+    for key in chart.exponents:
+        coeff = 1
+        for table, coord, power in zip(powers, coords, key):
+            while len(table) <= power:
+                table.append(table[-1] * coord)
+            coeff *= table[power]
+        values.append(coeff.numerator if coeff.denominator == 1 else coeff)
+    coeffs = tuple([values[s] for s in column] for column in chart.slots)
+    packed = Packed(coeffs, chart.targets, chart.gg.gamma.index((0, 0, 0)))
+    return ModuleRep(group=chart.group, gg=chart.gg, coords=coords, packed=packed)
+
+
 def dense_matrices(rep: ModuleRep):
     """(B1, B2, B3), i: the dense Fraction matrices and cyclic vector of a packed module."""
     n = len(rep.gg.gamma)
+    denominator = rep.packed.denominator
     mats = []
     for cs, ts in zip(rep.packed.coeffs, rep.packed.targets):
         mat = [[Fraction(0)] * n for _ in range(n)]
         for col, (c, t) in enumerate(zip(cs, ts)):
             if c:
-                mat[t][col] = Fraction(c)
+                mat[t][col] = Fraction(c) / denominator
         mats.append(tuple(tuple(row) for row in mat))
     i_vec = tuple(Fraction(int(k == rep.packed.seed)) for k in range(n))
     return tuple(mats), i_vec

@@ -90,8 +90,13 @@ def test_verify_is_deterministic(capsys, tmp_path):
 @pytest.mark.parametrize(
     "spec,golden",
     # 6:1,5,0 has a zero weight: x_3 * m has m's character, so the pair
-    # complexes' rows merge coinciding columns
-    [("7:1,2,4", "verify_7-1-2-4_seed0.json"), ("6:1,5,0", "verify_6-1-5-0_seed0.json")],
+    # complexes' rows merge coinciding columns; the 3x3 group has two
+    # generators, and its chart samples carry unequal denominators
+    [
+        ("7:1,2,4", "verify_7-1-2-4_seed0.json"),
+        ("6:1,5,0", "verify_6-1-5-0_seed0.json"),
+        ("3:1,2,0;3:0,1,2", "verify_3-1-2-0_3-0-1-2_seed0.json"),
+    ],
 )
 def test_verify_json_matches_golden(capsys, spec, golden, tmp_path):
     out = tmp_path / "verify.json"
@@ -171,8 +176,31 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     code = console_main(["fan", "--group", "3:1,1,1"])
     captured = capsys.readouterr()
     assert code == 3
-    assert json.loads(captured.out) == {"error": {"type": "ValueError", "message": "matrix is singular"}}
+    assert json.loads(captured.out) == {
+        "error": {"type": "ValueError", "message": "matrix is singular", "layer": "toric.layers"}
+    }
     assert captured.err == "internal error: ValueError: matrix is singular\n"
+
+
+def test_internal_fault_names_its_layer(capsys, monkeypatch):
+    # the fault is raised in a helper of toric.chart_cone, outside the
+    # package; the innermost frame in the package is chart_cone itself
+    from ghilb import toric
+
+    def broken(pair, dual_gens):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(toric, "dual_rays", broken)
+    for command in ("fan", "verify"):
+        code = console_main([command, "--group", "7:1,2,4"])
+        record = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert record["error"] == {
+            "type": "ZeroDivisionError",
+            "message": "planted",
+            "layer": "toric.chart_cone",
+        }
+        assert list(record) == ["error"]
 
 
 def test_console_main_keeps_the_other_exit_codes(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    build_rep_fractions,
     dense_differentials,
     dense_matrices,
     homology_full_ranks,
@@ -475,3 +476,85 @@ def test_fixed_point_betti_names_planted_defects():
     swapped[j], swapped[k] = reps[k], reps[j]
     check = verify._fixed_point_betti_check(G, fps, swapped)
     assert [f["fixed_point"] for f in check["details"]["failures"]] == sorted((j, k))
+
+
+COORD = st.sampled_from(
+    (1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-4, 5), Fraction(5, 3))
+)
+ROUTE_SPECS = HOMOLOGY_SPECS + ["3:1,2,0;3:0,1,2"]
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS)
+def test_build_rep_is_integral_over_one_denominator(spec):
+    for k, chart_k in enumerate(get_charts(spec)):
+        (point,) = sample_chart_points(1, seeded_rng(59, k))
+        for mask in range(8):
+            coords = tuple(Fraction(0) if mask >> i & 1 else c for i, c in enumerate(point))
+            packed = build_rep(chart_k, coords).packed
+            assert type(packed.denominator) is int and packed.denominator > 0
+            assert all(type(c) is int for cs in packed.coeffs for c in cs)
+            if mask == 7:
+                assert packed.denominator == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_int_modules_match_the_fraction_route(data):
+    # modules at chart points with some coordinates zero, on int numerators
+    # and through the Fraction oracle: the same matrices and the same
+    # decisions; the pair complexes also mix the two routes, whose
+    # denominators differ whenever the int module's is not 1
+    spec = data.draw(st.sampled_from(ROUTE_SPECS))
+    G, charts = get_group(spec), get_charts(spec)
+    pairs = []
+    for _ in range(2):
+        chart_k = charts[data.draw(st.integers(0, len(charts) - 1))]
+        drawn = data.draw(st.tuples(*[st.one_of(st.just(0), COORD)] * 3))
+        coords = tuple(Fraction(c) for c in drawn)
+        pairs.append((build_rep(chart_k, coords), build_rep_fractions(chart_k, coords)))
+    for rep, oracle in pairs:
+        assert dense_matrices(rep) == dense_matrices(oracle)
+        assert rep.commutes == oracle.commutes
+        assert verify_adhm(rep) == verify_adhm(oracle)
+        assert support_check(G, rep) == support_check(G, oracle)
+        assert cpxnil_homology(rep) == cpxnil_homology(oracle)
+    (rep1, oracle1), (rep2, oracle2) = pairs
+    for a, b, ref_a, ref_b in (
+        (rep1, rep2, oracle1, oracle2),
+        (rep2, rep1, oracle2, oracle1),
+        (rep1, oracle2, oracle1, oracle2),
+        (oracle2, rep1, oracle2, oracle1),
+        (rep1, oracle1, oracle1, oracle1),
+    ):
+        assert koszul_homology(G, a, b) == koszul_homology(G, ref_a, ref_b)
+
+
+def _scalar_multiple(mat, ref):
+    """The nonzero s with mat == s * ref entry by entry, or None if there is none."""
+    entries = [(x, y) for row, ref_row in zip(mat, ref) for x, y in zip(row, ref_row)]
+    scale = next((Fraction(x) / y for x, y in entries if y), None)
+    if scale and all(x == scale * y for x, y in entries):
+        return scale
+    return None
+
+
+SAMPLE_THIRDS = (Fraction(2, 3), Fraction(-1, 3), Fraction(4, 3))
+SAMPLE_HALVES = (Fraction(-3, 2), Fraction(1, 2), Fraction(5, 4))
+
+
+@pytest.mark.parametrize("spec", ["2:1,1,0;2:1,0,1", "3:1,2,0;3:0,1,2", "7:1,2,4"])
+def test_pair_differentials_are_scalar_multiples_of_the_fraction_route(spec):
+    # each differential on int numerators is one nonzero scalar times the
+    # Fraction route's, for two samples of one chart, for a sample against
+    # a fixed point, and in both orders; the denominators differ throughout
+    G = get_group(spec)
+    points = [SAMPLE_THIRDS, SAMPLE_HALVES, (0, 0, 0)]
+    for k, chart_k in enumerate(get_charts(spec)):
+        reps = [(build_rep(chart_k, p), build_rep_fractions(chart_k, p)) for p in points]
+        for first, second in ((0, 1), (1, 0), (0, 2), (2, 1)):
+            (a, ref_a), (b, ref_b) = reps[first], reps[second]
+            assert a.packed.denominator != b.packed.denominator
+            got = dense_differentials(koszul_differentials(G, a, b))
+            want = dense_differentials(koszul_differentials(G, ref_a, ref_b))
+            for mat, ref in zip(got, want):
+                assert _scalar_multiple(mat, ref), (k, a.coords, b.coords)

@@ -115,7 +115,11 @@ def test_inverse_transpose_is_the_dual_basis(m):
 def test_rows_are_scaled_to_primitive_integer_rows():
     assert linalg._primitive({0: Fraction(2, 3), 1: 4, 2: 0}) == {0: 1, 1: 6}
     assert linalg._primitive({3: -6, 5: 9}) == {3: -2, 5: 3}
+    assert linalg._primitive({3: 4, 5: 0}) == {3: 1}
     assert linalg._primitive({}) == {}
+    # a primitive row of nonzero ints is not copied
+    row = {0: 1, 2: -1, 4: 2}
+    assert linalg._primitive(row) is row
 
 
 def _two_term_checked(rows, ncols):
