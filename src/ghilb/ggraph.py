@@ -310,33 +310,25 @@ def brute_force_fixed_points(G: AbelianGroup, cap: int = 16) -> list[GGraph]:
 
     results: list[GGraph] = []
 
-    def candidates(gamma: set[Monomial], last) -> list[Monomial]:
-        succ = set()
+    def corners(gamma: set[Monomial]) -> set[Monomial]:
+        """The monomials outside gamma all of whose lowerings lie in gamma."""
+        found = set()
         for m in gamma:
             for axis in range(3):
                 s = list(m)
                 s[axis] += 1
                 s = tuple(s)
-                if s in gamma or min(s) != 0:
-                    continue
-                if all(
+                if s not in gamma and all(
                     s[ax] == 0 or _lowered(s, ax) in gamma for ax in range(3)
                 ):
-                    succ.add(s)
-        return sorted((s for s in succ if key(s) > last), key=key)
+                    found.add(s)
+        return found
+
+    def candidates(gamma: set[Monomial], last) -> list[Monomial]:
+        return sorted((s for s in corners(gamma) if min(s) == 0 and key(s) > last), key=key)
 
     def close(gamma: set[Monomial]) -> None:
-        gens = set()
-        for m in gamma:
-            for axis in range(3):
-                s = list(m)
-                s[axis] += 1
-                s = tuple(s)
-                if s in gamma:
-                    continue
-                if all(s[ax] == 0 or _lowered(s, ax) in gamma for ax in range(3)):
-                    gens.add(s)
-        ideal = MonomialIdeal.from_generators(gens)
+        ideal = MonomialIdeal.from_generators(corners(gamma))
         gg = is_ggraph(G, ideal)
         if gg is None:
             raise RuntimeError(

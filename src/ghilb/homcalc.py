@@ -4,15 +4,18 @@ An equivariant A-module map from I1 to A/I2 is determined by one scalar per
 minimal generator g of I1, sent to its character match m(g) in the target
 staircase.  The pairwise lcm relations among the generators generate all
 syzygies of a monomial ideal, and each one either identifies two scalars,
-kills one, or is vacuous; the Hom dimension is the number of surviving
-scalar classes.  A union-find with a zero flag resolves the constraints in
-any order.
+kills one, or is vacuous.  Each is one linear row on the scalars with at
+most two entries, x_g - x_h or x_g, so the Hom dimension is the number of
+generators less the rank of those rows, which ``linalg.two_term_basis``
+reads off without elimination; every ratio it keeps is 1, so no Fraction
+arises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import linalg
 from .ggraph import GGraph, Monomial, mono_lcm, mono_mul, mono_str
 from .groups import AbelianGroup
 
@@ -40,45 +43,19 @@ def hom_instance(G: AbelianGroup, source: GGraph, target: GGraph) -> HomInstance
     return HomInstance(source=source, target=target, gens=gens, targets=matched)
 
 
-class _UnionFind:
-    """Union-find over generator indices with an order-independent zero flag."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.zero = [False] * n
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        self.parent[rj] = ri
-        self.zero[ri] = self.zero[ri] or self.zero[rj]
-
-    def mark_zero(self, i: int) -> None:
-        self.zero[self.find(i)] = True
-
-    def free_classes(self) -> int:
-        roots = {self.find(i) for i in range(len(self.parent))}
-        return sum(1 for r in roots if not self.zero[r])
-
-
-def hom_constraints(inst: HomInstance, uf: _UnionFind, trace: list | None = None) -> None:
-    """Apply every pairwise lcm syzygy to the generators' union-find.
+def hom_constraints(inst: HomInstance, trace: list | None = None) -> list[dict[int, int]]:
+    """The pairwise lcm syzygies, as linear rows on the generators' scalars.
 
     For generators g, h with lcm L, the two transported images are
     u_g = (L/g) m(g) and u_h = (L/h) m(h).  If both survive in the target
-    quotient they are the same monomial and the scalars agree; if exactly
-    one survives its scalar is zero; if neither does, the relation is
-    vacuous.  Given a list, each syzygy is appended to it as an audit record.
+    quotient they are the same monomial and the scalars agree, the row
+    x_g - x_h; if exactly one survives its scalar is zero, the row x_g or
+    x_h; if neither does, the relation is vacuous and gives no row.  Given a
+    list, each syzygy is appended to it as an audit record.
     """
     ideal2 = inst.target.ideal
     n = len(inst.gens)
+    rows: list[dict[int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
             g, h = inst.gens[i], inst.gens[j]
@@ -93,13 +70,13 @@ def hom_constraints(inst: HomInstance, uf: _UnionFind, trace: list | None = None
                         f"surviving images {mono_str(u_g)} and {mono_str(u_h)} of a "
                         "syzygy differ; the target staircase is corrupted"
                     )
-                uf.union(i, j)
+                rows.append({i: 1, j: -1})
                 action = "union"
             elif g_lives:
-                uf.mark_zero(i)
+                rows.append({i: 1})
                 action = "zero_first"
             elif h_lives:
-                uf.mark_zero(j)
+                rows.append({j: 1})
                 action = "zero_second"
             else:
                 action = "none"
@@ -112,16 +89,15 @@ def hom_constraints(inst: HomInstance, uf: _UnionFind, trace: list | None = None
                         "action": action,
                     }
                 )
+    return rows
 
 
 def hom_dim(
     G: AbelianGroup, source: GGraph, target: GGraph, trace: list | None = None
 ) -> int:
-    """dim Hom_A(I1, A/I2)^G for two fixed points, by syzygy propagation."""
+    """dim Hom_A(I1, A/I2)^G for two fixed points: the scalars less the rank of their syzygies."""
     inst = hom_instance(G, source, target)
-    uf = _UnionFind(len(inst.gens))
-    hom_constraints(inst, uf, trace)
-    return uf.free_classes()
+    return len(inst.gens) - len(linalg.two_term_basis(hom_constraints(inst, trace)))
 
 
 def hom_matrix(G: AbelianGroup, fixed_points: list[GGraph]) -> list[list[int]]:

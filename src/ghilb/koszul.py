@@ -27,32 +27,33 @@ over a free orbit, so x^R, y^R, z^R and xyz must each act as one nonzero
 scalar, which holds exactly when every B is a permutation with nonzero
 coefficients whose cycle lengths divide R and whose cycle products agree
 after raising to R over the length.  At a fixed point every B is nilpotent
-and the check fails.  All of these checks, and the wedge complex below,
-are homogeneous in one module's coefficients, so D cancels and they read
-the numerators as they are.
+and the check fails.  All of these checks are homogeneous in one module's
+coefficients, so D cancels and they read the numerators as they are.
 
-Two complexes are built straight from the packed tables: the four-term
-wedge complex of a single module, whose homology at a fixed point is the
-Betti table of the staircase ideal, and the two-module complex with
-differential B2 ^ eta - eta ^ B1 whose middle homology computes the
-equivariant Hom into the quotient.  The character-line tables that complex
-reads are computed once per module (``ModuleRep.lines``); it mixes two
-modules, so when their denominators D1 and D2 differ each module's
-numerators are first scaled to the other's denominator, which makes every
-differential one nonzero multiple of the true one.  Both go through
-one homology route, ``reduced_homology``: every row of d3 and every column
-of d1 has at most two nonzeros, so ``linalg.two_term_basis`` finds a basis
-of each without elimination, those cells cancel, and only what is left of
-d2 is ranked by ``linalg.rank_sparse``.  The cancellation holds only on a
-true complex, so homology refuses a module whose B's do not commute
-(``ModuleRep.commutes``, checked once per module and shared with
-``verify_adhm``).
+One complex builder reads the packed tables: the two-module complex with
+differential B2 ^ eta - eta ^ B1, whose middle homology computes the
+equivariant Hom into the quotient (``koszul_differentials``).  The
+character-line tables it reads are computed once per module
+(``ModuleRep.lines``); it mixes two modules, so when their denominators D1
+and D2 differ each module's numerators are first scaled to the other's
+denominator, which makes every differential one nonzero multiple of the
+true one.  The four-term wedge complex of a single module, whose homology at
+a fixed point is the Betti table of the staircase ideal, is the same complex
+with the zero module on the same lines as the first module: the regular
+representation with every B zero, so that only the B2 terms are left
+(``cpxnil_differentials``).  Both go through one homology route,
+``reduced_homology``: every row of d3 and every column of d1 has at most
+two nonzeros, so ``linalg.two_term_basis`` finds a basis of each without
+elimination, those cells cancel, and only what is left of d2 is ranked by
+``linalg.rank_sparse``.  The cancellation holds only on a true complex, so
+homology refuses a module whose B's do not commute (``ModuleRep.commutes``,
+checked once per module and shared with ``verify_adhm``).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -79,9 +80,11 @@ class Packed(NamedTuple):
     int numerators over one positive int denominator D.  The checks on one
     module read the numerators as they are, since D cancels: it scales both
     sides of a commutator comparison by D^2, every cycle product raised to
-    R over its length by D^R, every xyz product by D^3 and each wedge
-    differential by D.  The pair complex mixes two modules and scales each
-    to the other's denominator first (koszul_differentials).
+    R over its length by D^R and every xyz product by D^3.  The pair complex
+    mixes two modules and scales each to the other's denominator first
+    (koszul_differentials); the wedge complex is a pair complex whose first
+    module is zero over denominator 1, so its differentials are D times the
+    true ones.
     """
 
     coeffs: tuple[list, list, list]
@@ -184,10 +187,8 @@ class ModuleRep:
 def _shift_lines(G: AbelianGroup, gg: GGraph) -> list[list[int]]:
     """Per variable x_alpha and basis monomial m, the line of x_alpha * m's character."""
     pos = gg.char_to_gamma()
-    return [
-        [pos[G.char_add[G.char_index(step)][c]] for c in gg.char_index]
-        for step in COORD_EXPONENTS
-    ]
+    shifts = [G.char_add[G.char_index(step)] for step in COORD_EXPONENTS]
+    return [[pos[shift[c]] for c in gg.char_index] for shift in shifts]
 
 
 def chart(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> Chart:
@@ -370,37 +371,17 @@ def _require_commuting(*reps: ModuleRep) -> None:
         raise RuntimeError(NOT_COMMUTING)
 
 
-def _block_rows(packed: Packed, nrows: int, blocks) -> list[dict]:
-    """Sparse rows of a block matrix whose block (p, q) is sign * B_alpha."""
-    n = len(packed.coeffs[0])
-    rows: list[dict] = [{} for _ in range(nrows)]
-    for p, q, sign, alpha in blocks:
-        for col, (c, t) in enumerate(zip(packed.coeffs[alpha], packed.targets[alpha])):
-            if c:
-                rows[p * n + t][q * n + col] = c if sign > 0 else -c
-    return rows
-
-
 def cpxnil_differentials(rep: ModuleRep) -> Complex:
-    """The four-term wedge complex of one module.
+    """The four-term wedge complex of one module, as a two-module complex.
 
-    d3 = (B1; B2; B3), d2 = ((-B2, B1, 0); (-B3, 0, B1); (0, -B3, B2)) and
-    d1 = (B3, -B2, B1), the last by columns.
+    The first module is the zero module on the same lines, so every term of
+    koszul_differentials read from it drops out and what is left is the
+    wedge complex d3 = (Bx; By; Bz), d2 = ((-By, Bx, 0); (-Bz, 0, Bx);
+    (0, -Bz, By)) and d1 = (Bz, -By, Bx), up to the order of its cells.
     """
     packed = rep.packed
-    n = len(rep.gg.gamma)
-    d3 = _block_rows(packed, 3 * n, [(0, 0, 1, 0), (1, 0, 1, 1), (2, 0, 1, 2)])
-    d2 = _block_rows(
-        packed,
-        3 * n,
-        [(0, 0, -1, 1), (0, 1, 1, 0), (1, 0, -1, 2), (1, 2, 1, 0), (2, 1, -1, 2), (2, 2, 1, 1)],
-    )
-    d1 = [
-        {t: sign * c} if c else {}
-        for sign, alpha in ((1, 2), (-1, 1), (1, 0))
-        for c, t in zip(packed.coeffs[alpha], packed.targets[alpha])
-    ]
-    return Complex(d3, lambda cells: [d2[cell] for cell in cells], d1)
+    zero = packed._replace(coeffs=tuple([0] * len(cs) for cs in packed.coeffs), denominator=1)
+    return koszul_differentials(rep.group, replace(rep, packed=zero), rep)
 
 
 def cpxnil_homology(rep: ModuleRep) -> tuple[int, int, int, int]:

@@ -5,11 +5,12 @@ column -> value holding ints or Fractions, scales each row to a primitive
 integer row (which does not change the rank) and eliminates with integer
 row operations, so no quotient is ever formed.  ``two_term_basis`` needs no
 elimination: on rows with at most two nonzeros it finds a row basis by
-union-find over the columns, keeping exact ratios.  ``hnf`` is the integer row
-Hermite normal form used for the lattices; ``det3`` and ``adjugate3`` are
-the closed-form 3x3 determinant and adjugate of the chart and lattice
-bases.  Everything here is exact; no floating point is used anywhere in the
-package.
+union-find over the columns, keeping exact ratios.  It cancels the d3 and d1
+cells of the Koszul complexes and ranks the Hom syzygy rows x_g - x_h and
+x_g of ``homcalc``.  ``hnf`` is the integer row Hermite normal form used for
+the lattices; ``det3`` and ``adjugate3`` are the closed-form 3x3 determinant
+and adjugate of the chart and lattice bases.  Everything here is exact; no
+floating point is used anywhere in the package.
 """
 
 from __future__ import annotations

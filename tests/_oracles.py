@@ -18,7 +18,10 @@ elimination and matrix products, against which the package's one sparse
 kernel (linalg.rank_sparse) and its sparse Koszul differentials are checked.
 dense_differentials and homology_full_ranks: a complex's differentials in
 full, and its homology from the three full ranks, against which
-koszul.reduced_homology's cancelled cells are checked.
+koszul.reduced_homology's cancelled cells are checked.  wedge_differentials:
+the wedge complex of one module built block by block from its B's, against
+which koszul.cpxnil_differentials, the pair complex from the zero module, is
+checked.
 
 rewrite_matrices: the chart-point module's multiplication matrices by
 monomial rewriting with the seven chart relations, against which the
@@ -270,6 +273,39 @@ def homology_full_ranks(cx: Complex) -> tuple[int, int, int, int]:
     n = len(cx.d1) // 3
     r3, r2, r1 = (rank_dense(d) for d in dense_differentials(cx))
     return (n - r3, 3 * n - r2 - r3, 3 * n - r1 - r2, n - r1)
+
+
+def _block_rows(packed: Packed, nrows: int, blocks) -> list[dict]:
+    """Sparse rows of a block matrix whose block (p, q) is sign * B_alpha."""
+    n = len(packed.coeffs[0])
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for p, q, sign, alpha in blocks:
+        for col, (c, t) in enumerate(zip(packed.coeffs[alpha], packed.targets[alpha])):
+            if c:
+                rows[p * n + t][q * n + col] = c if sign > 0 else -c
+    return rows
+
+
+def wedge_differentials(rep: ModuleRep) -> Complex:
+    """The four-term wedge complex of one module, built block by block.
+
+    d3 = (B1; B2; B3), d2 = ((-B2, B1, 0); (-B3, 0, B1); (0, -B3, B2)) and
+    d1 = (B3, -B2, B1), the last by columns.
+    """
+    packed = rep.packed
+    n = len(rep.gg.gamma)
+    d3 = _block_rows(packed, 3 * n, [(0, 0, 1, 0), (1, 0, 1, 1), (2, 0, 1, 2)])
+    d2 = _block_rows(
+        packed,
+        3 * n,
+        [(0, 0, -1, 1), (0, 1, 1, 0), (1, 0, -1, 2), (1, 2, 1, 0), (2, 1, -1, 2), (2, 2, 1, 1)],
+    )
+    d1 = [
+        {t: sign * c} if c else {}
+        for sign, alpha in ((1, 2), (-1, 1), (1, 0))
+        for c, t in zip(packed.coeffs[alpha], packed.targets[alpha])
+    ]
+    return Complex(d3, lambda cells: [d2[cell] for cell in cells], d1)
 
 
 def rewrite_rules(gg: GGraph):

@@ -15,6 +15,7 @@ from _oracles import (
     rank_dense,
     rewrite_matrices,
     support_check_walk,
+    wedge_differentials,
 )
 from conftest import SUITE_3D, get_charts, get_cones, get_fixed_points, get_group
 from ghilb import verify
@@ -448,6 +449,7 @@ def test_reduced_homology_matches_full_ranks(data):
     for a, b in ((rep1, rep2), (rep2, rep1), (rep1, rep1)):
         assert koszul_homology(G, a, b) == homology_full_ranks(koszul_differentials(G, a, b))
     assert cpxnil_homology(rep1) == homology_full_ranks(cpxnil_differentials(rep1))
+    assert cpxnil_homology(rep1) == homology_full_ranks(wedge_differentials(rep1))
 
 
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
