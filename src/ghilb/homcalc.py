@@ -50,10 +50,11 @@ def hom_constraints(inst: HomInstance, trace: list | None = None) -> list[dict[i
     u_g = (L/g) m(g) and u_h = (L/h) m(h).  If both survive in the target
     quotient they are the same monomial and the scalars agree, the row
     x_g - x_h; if exactly one survives its scalar is zero, the row x_g or
-    x_h; if neither does, the relation is vacuous and gives no row.  Given a
+    x_h; if neither does, the relation is vacuous and gives no row.  A
+    monomial survives exactly when it lies in the target staircase.  Given a
     list, each syzygy is appended to it as an audit record.
     """
-    ideal2 = inst.target.ideal
+    staircase = set(inst.target.gamma)
     n = len(inst.gens)
     rows: list[dict[int, int]] = []
     for i in range(n):
@@ -62,8 +63,8 @@ def hom_constraints(inst: HomInstance, trace: list | None = None) -> list[dict[i
             lcm = mono_lcm(g, h)
             u_g = mono_mul(inst.targets[i], _quotient(lcm, g))
             u_h = mono_mul(inst.targets[j], _quotient(lcm, h))
-            g_lives = not ideal2.contains(u_g)
-            h_lives = not ideal2.contains(u_h)
+            g_lives = u_g in staircase
+            h_lives = u_h in staircase
             if g_lives and h_lives:
                 if u_g != u_h:
                     raise RuntimeError(

@@ -24,18 +24,22 @@ which koszul.cpxnil_differentials, the pair complex from the zero module, is
 checked.
 
 rewrite_matrices: the chart-point module's multiplication matrices by
-monomial rewriting with the seven chart relations, against which the
-closed form of koszul.chart and koszul.build_rep is checked.
+monomial rewriting with the seven chart relations, on the staircase basis,
+against which the closed form of koszul.chart and koszul.build_rep is
+checked once reindexed by character.
 
 build_rep_fractions: the chart-point module with Fraction coefficients over
 denominator 1, against which koszul.build_rep's int numerators over one
 module denominator are checked.
 
-dense_matrices, pack_dense and module_from_dense: the dense view of a packed
-module and the dense packing scan back, through which tests build corrupted
-modules entry by entry.  support_check_walk: the support check as an R-step
-walk from every line, against which koszul.support_check's cycle test is
-checked.
+Every module below is read on character lines, line c spanned by the
+staircase monomial of character c, with its own McKay arrows (arrows), not
+koszul.shifts.  dense_matrices and module_from_dense: a module's dense
+matrices and cyclic vector, and the module of one coefficient per arrow read
+back from dense matrices, which refuses an entry off its arrow; through them
+tests build corrupted modules entry by entry.  support_check_walk: the
+support check as an R-step walk from every line, against which
+koszul.support_check's cycle test is checked.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from ghilb.ggraph import (
     seven_generators,
 )
 from ghilb.groups import AbelianGroup
-from ghilb.koszul import COORD_EXPONENTS, Chart, Complex, ModuleRep, Packed
+from ghilb.koszul import COORD_EXPONENTS, Chart, Complex, ModuleRep
 from ghilb.linalg import rank_sparse
 from ghilb.toric import LatticePair
 
@@ -275,12 +279,20 @@ def homology_full_ranks(cx: Complex) -> tuple[int, int, int, int]:
     return (n - r3, 3 * n - r2 - r3, 3 * n - r1 - r2, n - r1)
 
 
-def _block_rows(packed: Packed, nrows: int, blocks) -> list[dict]:
+def arrows(G: AbelianGroup) -> list[list[int]]:
+    """arrows[alpha][c]: the character of x_alpha times a monomial of character c."""
+    return [
+        [G.char_add[c][G.char_index(step)] for c in range(G.order)] for step in COORD_EXPONENTS
+    ]
+
+
+def _block_rows(rep: ModuleRep, nrows: int, blocks) -> list[dict]:
     """Sparse rows of a block matrix whose block (p, q) is sign * B_alpha."""
-    n = len(packed.coeffs[0])
+    n = rep.group.order
+    targets = arrows(rep.group)
     rows: list[dict] = [{} for _ in range(nrows)]
     for p, q, sign, alpha in blocks:
-        for col, (c, t) in enumerate(zip(packed.coeffs[alpha], packed.targets[alpha])):
+        for col, (c, t) in enumerate(zip(rep.coeffs[alpha], targets[alpha])):
             if c:
                 rows[p * n + t][q * n + col] = c if sign > 0 else -c
     return rows
@@ -292,18 +304,17 @@ def wedge_differentials(rep: ModuleRep) -> Complex:
     d3 = (B1; B2; B3), d2 = ((-B2, B1, 0); (-B3, 0, B1); (0, -B3, B2)) and
     d1 = (B3, -B2, B1), the last by columns.
     """
-    packed = rep.packed
-    n = len(rep.gg.gamma)
-    d3 = _block_rows(packed, 3 * n, [(0, 0, 1, 0), (1, 0, 1, 1), (2, 0, 1, 2)])
+    d3 = _block_rows(rep, 3 * rep.group.order, [(0, 0, 1, 0), (1, 0, 1, 1), (2, 0, 1, 2)])
     d2 = _block_rows(
-        packed,
-        3 * n,
+        rep,
+        3 * rep.group.order,
         [(0, 0, -1, 1), (0, 1, 1, 0), (1, 0, -1, 2), (1, 2, 1, 0), (2, 1, -1, 2), (2, 2, 1, 1)],
     )
+    targets = arrows(rep.group)
     d1 = [
         {t: sign * c} if c else {}
         for sign, alpha in ((1, 2), (-1, 1), (1, 0))
-        for c, t in zip(packed.coeffs[alpha], packed.targets[alpha])
+        for c, t in zip(rep.coeffs[alpha], targets[alpha])
     ]
     return Complex(d3, lambda cells: [d2[cell] for cell in cells], d1)
 
@@ -378,80 +389,58 @@ def build_rep_fractions(chart: Chart, coords: tuple) -> ModuleRep:
             coeff *= table[power]
         values.append(coeff.numerator if coeff.denominator == 1 else coeff)
     coeffs = tuple([values[s] for s in column] for column in chart.slots)
-    packed = Packed(coeffs, chart.targets, chart.gg.gamma.index((0, 0, 0)))
-    return ModuleRep(group=chart.group, gg=chart.gg, coords=coords, packed=packed)
+    return ModuleRep(chart.group, chart.gg, coords, coeffs)
 
 
 def dense_matrices(rep: ModuleRep):
-    """(B1, B2, B3), i: the dense Fraction matrices and cyclic vector of a packed module."""
-    n = len(rep.gg.gamma)
-    denominator = rep.packed.denominator
+    """(B1, B2, B3), i: the dense Fraction matrices and cyclic vector of a
+    module on character lines."""
+    n = rep.group.order
     mats = []
-    for cs, ts in zip(rep.packed.coeffs, rep.packed.targets):
+    for cs, ts in zip(rep.coeffs, arrows(rep.group)):
         mat = [[Fraction(0)] * n for _ in range(n)]
         for col, (c, t) in enumerate(zip(cs, ts)):
-            if c:
-                mat[t][col] = Fraction(c) / denominator
+            mat[t][col] = Fraction(c) / rep.denominator
         mats.append(tuple(tuple(row) for row in mat))
-    i_vec = tuple(Fraction(int(k == rep.packed.seed)) for k in range(n))
+    i_vec = tuple(Fraction(int(k == 0)) for k in range(n))
     return tuple(mats), i_vec
 
 
-def pack_dense(b, i_vec) -> Packed | None:
-    """The packed form of dense matrices, or None when a column of some B or
-    the cyclic vector has two nonzero entries (then no packed form exists).
-    A zero column gets target -1; integral entries become ints."""
-    n = len(i_vec)
-    coeffs, targets = [], []
-    for mat in b:
-        cs, ts = [0] * n, [-1] * n
-        for r, row in enumerate(mat):
-            for c, x in enumerate(row):
-                if x:
-                    if ts[c] >= 0:
-                        return None
-                    x = Fraction(x)
-                    cs[c] = x.numerator if x.denominator == 1 else x
-                    ts[c] = r
-        coeffs.append(cs)
-        targets.append(ts)
-    seeds = [k for k, x in enumerate(i_vec) if x]
-    if len(seeds) > 1:
-        return None
-    return Packed(tuple(coeffs), tuple(targets), seeds[0] if seeds else None)
-
-
 def module_from_dense(rep: ModuleRep, b) -> ModuleRep | None:
-    """rep's group, staircase, point and cyclic vector with dense matrices b,
-    or None when they have no packed form."""
-    packed = pack_dense(b, dense_matrices(rep)[1])
-    if packed is None:
-        return None
-    return ModuleRep(group=rep.group, gg=rep.gg, coords=rep.coords, packed=packed)
+    """rep's group, staircase and point with dense matrices b on character
+    lines, or None when some entry of b lies off its arrow (then b is not a
+    module of G).  Integral entries become ints over denominator 1."""
+    coeffs = []
+    for mat, ts in zip(b, arrows(rep.group)):
+        for r, row in enumerate(mat):
+            if any(x and r != ts[c] for c, x in enumerate(row)):
+                return None
+        values = [Fraction(mat[t][c]) for c, t in enumerate(ts)]
+        coeffs.append([x.numerator if x.denominator == 1 else x for x in values])
+    return ModuleRep(rep.group, rep.gg, rep.coords, tuple(coeffs))
 
 
-def _walk(packed: Packed, word, col: int):
+def _walk(rep: ModuleRep, targets, word, line: int):
     """(coefficient, line) of the product of B_alpha, alpha in word applied
-    first to last, on basis vector col; (0, -1) once it dies."""
+    first to last, on line line; (0, -1) once it dies."""
     value = 1
     for alpha in word:
-        c = packed.coeffs[alpha][col]
+        c = rep.coeffs[alpha][line]
         if not c:
             return 0, -1
         value *= c
-        col = packed.targets[alpha][col]
-    return value, col
+        line = targets[alpha][line]
+    return value, line
 
 
 def support_check_walk(G: AbelianGroup, rep: ModuleRep) -> bool:
     """x^R, y^R, z^R and xyz each act as one nonzero scalar, by walking each
-    word from every basis vector: it must come back to that vector with the
-    same nonzero product everywhere."""
-    n = len(rep.gg.gamma)
-    R = G.R
+    word from every line: it must come back to that line with the same
+    nonzero product everywhere."""
+    R, targets = G.R, arrows(G)
     for word in ((0,) * R, (1,) * R, (2,) * R, (2, 1, 0)):
-        walks = [_walk(rep.packed, word, col) for col in range(n)]
-        if any(end != col for col, (_, end) in enumerate(walks)):
+        walks = [_walk(rep, targets, word, line) for line in range(G.order)]
+        if any(end != line for line, (_, end) in enumerate(walks)):
             return False
         if len({value for value, _ in walks}) != 1:
             return False

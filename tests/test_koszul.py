@@ -20,6 +20,7 @@ from _oracles import (
 from conftest import SUITE_3D, get_charts, get_cones, get_fixed_points, get_group
 from ghilb import verify
 from ghilb.ggraph import MonomialIdeal
+from ghilb.groups import group_from_text
 from ghilb.toric import ChartError
 from ghilb.verify import betti_table, seeded_rng
 from ghilb.koszul import (
@@ -32,6 +33,7 @@ from ghilb.koszul import (
     koszul_homology,
     krylov_dim,
     sample_chart_points,
+    shifts,
     support_check,
     verify_adhm,
 )
@@ -45,13 +47,22 @@ CLOSED_FORM_SPECS = [spec for spec, _ in SUITE_3D] + [
 ]
 
 
+def _on_character_lines(gg, mats):
+    """Matrices on the staircase basis of gg, reindexed so that row and
+    column c belong to the staircase monomial of character c."""
+    line_of = gg.char_to_gamma()
+    order = [line_of[c] for c in range(len(gg.gamma))]
+    return tuple(tuple(tuple(mat[r][c] for c in order) for r in order) for mat in mats)
+
+
 def _rep_at(spec, fp_index, coords):
     coords = tuple(Fraction(c) for c in coords)
     return get_group(spec), build_rep(get_charts(spec)[fp_index], coords)
 
 
 def test_involution_chart_matrices_frozen():
-    # gamma = {1, x}: x*x = lambda, y = mu*x, z = nu
+    # gamma = {1, x}, on the lines of characters 0 and 1: x*x = lambda,
+    # y = mu*x, z = nu
     spec = "2:1,1,0"
     x_index = next(
         k for k, gg in enumerate(get_fixed_points(spec)) if (1, 0, 0) in gg.gamma
@@ -75,7 +86,8 @@ def test_closed_form_matches_rewriting(spec):
         for mask in range(8):
             coords = tuple(Fraction(0) if mask >> i & 1 else c for i, c in enumerate(point))
             rep = build_rep(get_charts(spec)[k], coords)
-            assert dense_matrices(rep)[0] == rewrite_matrices(G, gg, coords, cone), (k, coords)
+            want = _on_character_lines(gg, rewrite_matrices(G, gg, coords, cone))
+            assert dense_matrices(rep)[0] == want, (k, coords)
 
 
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
@@ -94,9 +106,9 @@ def test_fixed_point_rep_is_staircase_truncation():
         for k, gg in enumerate(get_fixed_points(spec)):
             rep = build_rep(get_charts(spec)[k], (0, 0, 0))
             b, _ = dense_matrices(rep)
-            index = {m: i for i, m in enumerate(gg.gamma)}
+            index = dict(zip(gg.gamma, gg.char_index))
             for alpha in range(3):
-                for col, mono in enumerate(gg.gamma):
+                for mono, col in index.items():
                     up = list(mono)
                     up[alpha] += 1
                     up = tuple(up)
@@ -132,7 +144,8 @@ def test_corrupted_rep_fails():
     b, _ = dense_matrices(rep)
     b1 = [list(row) for row in b[0]]
     b1[0][0] += 1
-    # column 0 of B1 now has two entries: no packed form, so no module at all
+    # B1 moves line 0 to the line of x's character, so this entry is off its
+    # arrow: no module of G at all
     assert module_from_dense(rep, (b1, b[1], b[2])) is None
     # the same entry added on the column's own line instead
     b1[0][0] -= 1
@@ -160,19 +173,6 @@ def test_nil_complex_exact_at_invertible_points():
             rep = build_rep(chart_k, point)
             assert all_b_invertible(rep)
             assert cpxnil_homology(rep) == (0, 0, 0, 0)
-
-
-def test_invertibility_needs_a_permutation():
-    # every coefficient nonzero, but two columns of B1 hit the same line
-    G, rep = _rep_at("3:1,1,1", 1, (1, 2, 3))
-    assert all_b_invertible(rep)
-    b, _ = dense_matrices(rep)
-    b1 = [list(row) for row in b[0]]
-    target = next(r for r in range(3) if b1[r][0])
-    other = next(r for r in range(3) if b1[r][1])
-    b1[target][1], b1[other][1] = b1[other][1], 0
-    collapsed = module_from_dense(rep, (b1, b[1], b[2]))
-    assert not all_b_invertible(collapsed)
 
 
 def test_nil_complex_at_fixed_point():
@@ -299,43 +299,29 @@ def test_support_check_fails_on_one_rescaled_coefficient(spec):
             assert not support_check(G, _rescaled(rep, alpha, col, -1))
 
 
-def _planted(rep, alpha, col, other, kind):
-    """rep with one planted defect in B_alpha's packed tables at columns col, other.
+def _planted(rep, alpha, col, kind):
+    """rep with one planted defect in the coefficient of B_alpha on line col.
 
-    The "kept" kinds also change B_(alpha+1), the variable applied just
-    before B_alpha in the word xyz: B_alpha's columns col and other are
-    swapped and B_(alpha+1)'s images of those two lines with them, or column
-    col of B_alpha is doubled and the column of B_(alpha+1) landing on col is
-    halved.  Either way xyz keeps its value on every line, so only the
-    x^R, y^R, z^R test can see the defect.
+    The "kept" kind also changes B_(alpha+1), the variable applied just
+    before B_alpha in the word xyz: the coefficient of B_alpha on line col
+    is doubled and that of the arrow of B_(alpha+1) landing on line col is
+    halved.  So xyz keeps its value on every line, and only the x^R, y^R,
+    z^R test can see the defect.
     """
-    coeffs = [list(cs) for cs in rep.packed.coeffs]
-    targets = [list(ts) for ts in rep.packed.targets]
-    cs, ts = coeffs[alpha], targets[alpha]
+    coeffs = [list(cs) for cs in rep.coeffs]
+    cs = coeffs[alpha]
     if kind == "rescaled":
         cs[col] *= 2
-    elif kind == "swapped":
-        ts[col], ts[other] = ts[other], ts[col]
-    elif kind == "collision":
-        ts[col] = ts[other]
     elif kind == "zeroed":
         cs[col] = 0
     else:
-        before_cs, before_ts = coeffs[alpha + 1], targets[alpha + 1]
-        if kind == "swapped, xyz kept":
-            cs[col], cs[other] = cs[other], cs[col]
-            ts[col], ts[other] = ts[other], ts[col]
-            swap = {col: other, other: col}
-            targets[alpha + 1] = [swap.get(t, t) for t in before_ts]
-        else:
-            cs[col] *= 2
-            before_cs[before_ts.index(col)] /= Fraction(2)
-    packed = rep.packed._replace(coeffs=tuple(coeffs), targets=tuple(targets))
-    return replace(rep, packed=packed)
+        cs[col] *= 2
+        coeffs[alpha + 1][shifts(rep.group)[alpha + 1].index(col)] /= Fraction(2)
+    return replace(rep, coeffs=tuple(coeffs))
 
 
-PLANTED = ("rescaled", "swapped", "collision", "zeroed")
-PLANTED_XYZ_KEPT = ("swapped, xyz kept", "rescaled, xyz kept")
+PLANTED = ("rescaled", "zeroed")
+PLANTED_XYZ_KEPT = ("rescaled, xyz kept",)
 
 
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
@@ -356,29 +342,49 @@ def test_support_check_matches_the_walk(spec):
         for rep in (samples[0], unit):
             for alpha in range(3):
                 for _ in range(3):
-                    col, other = rng.sample(range(n), 2)
+                    col = rng.randrange(n)
                     kinds = PLANTED + (PLANTED_XYZ_KEPT if alpha < 2 else ())
                     for kind in kinds:
-                        bad = _planted(rep, alpha, col, other, kind)
+                        bad = _planted(rep, alpha, col, kind)
                         assert support_check(G, bad) == support_check_walk(G, bad), (
-                            k, rep.coords, alpha, col, other, kind,
+                            k, rep.coords, alpha, col, kind,
                         )
 
 
-def test_off_pattern_entry_is_refused():
-    # one nonzero entry moved to the wrong row: still a generalized
-    # permutation matrix, but off its character line
-    G, rep = _rep_at("3:1,1,1", 1, (1, 2, 3))
+@pytest.mark.parametrize("spec", ["3:1,1,1", "6:1,5,0", "2:1,1,0;2:1,0,1"])
+def test_module_from_dense_refuses_an_entry_off_its_arrow(spec):
+    # each coefficient moved, in turn, to every other row of its column:
+    # an entry off its McKay arrow, which no module of G can carry
+    G, rep = _rep_at(spec, 0, (1, 2, 3))
+    n = G.order
     mats = [[list(row) for row in mat] for mat in dense_matrices(rep)[0]]
-    col = 0
-    row = next(r for r in range(3) if mats[0][r][col])
-    mats[0][(row + 1) % 3][col], mats[0][row][col] = mats[0][row][col], 0
-    moved = module_from_dense(rep, mats)
-    assert not verify_adhm(moved)
-    with pytest.raises(RuntimeError, match="character-shift pattern"):
-        koszul_homology(G, moved, rep)
-    with pytest.raises(RuntimeError, match="character-shift pattern"):
-        koszul_homology(G, rep, moved)
+    assert dense_matrices(module_from_dense(rep, mats)) == dense_matrices(rep)
+    for alpha in range(3):
+        for col in range(n):
+            row = next(r for r in range(n) if mats[alpha][r][col])
+            for wrong in range(n):
+                if wrong != row:
+                    moved = [[list(r) for r in mat] for mat in mats]
+                    moved[alpha][wrong][col], moved[alpha][row][col] = moved[alpha][row][col], 0
+                    assert module_from_dense(rep, moved) is None, (alpha, col, wrong)
+
+
+def test_pair_complex_refuses_modules_of_another_group():
+    # both modules are read on the character lines of G, so a module of any
+    # other group, even of the same order or of the same spec rebuilt, is
+    # refused in either argument order
+    G, rep = _rep_at("3:1,1,1", 0, (1, 2, 3))
+    others = [
+        build_rep(get_charts("3:1,2,0")[0], (0, 0, 0)),
+        build_rep(chart(group_from_text("3:1,1,1"), rep.gg, get_cones("3:1,1,1")[0]), (0, 0, 0)),
+    ]
+    for other in others:
+        assert other.group is not G and other.group.order == G.order
+        for pair in ((rep, other), (other, rep)):
+            with pytest.raises(ValueError, match="both modules must be modules of this group"):
+                koszul_differentials(G, *pair)
+            with pytest.raises(ValueError, match="both modules must be modules of this group"):
+                koszul_homology(G, *pair)
 
 
 def test_all_pairs_at_order_nineteen():
@@ -492,11 +498,11 @@ def test_build_rep_is_integral_over_one_denominator(spec):
         (point,) = sample_chart_points(1, seeded_rng(59, k))
         for mask in range(8):
             coords = tuple(Fraction(0) if mask >> i & 1 else c for i, c in enumerate(point))
-            packed = build_rep(chart_k, coords).packed
-            assert type(packed.denominator) is int and packed.denominator > 0
-            assert all(type(c) is int for cs in packed.coeffs for c in cs)
+            rep = build_rep(chart_k, coords)
+            assert type(rep.denominator) is int and rep.denominator > 0
+            assert all(type(c) is int for cs in rep.coeffs for c in cs)
             if mask == 7:
-                assert packed.denominator == 1
+                assert rep.denominator == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -555,7 +561,7 @@ def test_pair_differentials_are_scalar_multiples_of_the_fraction_route(spec):
         reps = [(build_rep(chart_k, p), build_rep_fractions(chart_k, p)) for p in points]
         for first, second in ((0, 1), (1, 0), (0, 2), (2, 1)):
             (a, ref_a), (b, ref_b) = reps[first], reps[second]
-            assert a.packed.denominator != b.packed.denominator
+            assert a.denominator != b.denominator
             got = dense_differentials(koszul_differentials(G, a, b))
             want = dense_differentials(koszul_differentials(G, ref_a, ref_b))
             for mat, ref in zip(got, want):
