@@ -13,11 +13,10 @@ from .ggraph import (
     brute_force_fixed_points,
     complement,
     enumerate_fixed_points,
-    fixed_points_2d,
     is_ggraph,
     verify_count_identity,
 )
-from .groups import AbelianGroup, Character, GroupSpec, GroupSpecError
+from .groups import AbelianGroup, GroupSpec, GroupSpecError
 from .homcalc import hom_dim, hom_matrix
 from .koszul import (
     Chart,
@@ -27,7 +26,7 @@ from .koszul import (
     koszul_homology,
     verify_adhm,
 )
-from .mckay import cartan_2d, intersection_matrix, mckay_matrices, quiver_dot
+from .mckay import intersection_matrix, mckay_matrices, quiver_dot
 from .toric import Fan, LatticePair, build_fan, chart_cone, check_smooth, lattices
 from .verify import verification_report
 
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup",
-    "Character",
     "Chart",
     "Fan",
     "GGraph",
@@ -47,13 +45,11 @@ __all__ = [
     "brute_force_fixed_points",
     "build_fan",
     "build_rep",
-    "cartan_2d",
     "chart_cone",
     "check_smooth",
     "complement",
     "cpxnil_homology",
     "enumerate_fixed_points",
-    "fixed_points_2d",
     "hom_dim",
     "hom_matrix",
     "intersection_matrix",

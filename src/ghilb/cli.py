@@ -30,12 +30,12 @@ from .groups import AbelianGroup, GroupSpec, GroupSpecError
 @dataclass
 class RunConfig:
     group_text: str
-    out_path: str | None = None
-    oracle_cap: int = 16
-    samples: int = 5
-    seed: int = 0
-    max_pairs: int | None = None
-    dot_path: str | None = None
+    out_path: str | None
+    oracle_cap: int
+    samples: int
+    seed: int
+    max_pairs: int | None
+    dot_path: str | None
 
     def __post_init__(self):
         if self.oracle_cap < 1:
@@ -57,8 +57,8 @@ def cmd_group(config: RunConfig) -> tuple[int, dict]:
         "exponent": G.R,
         "elements": [list(g) for g in G.elements],
         "characters": [
-            {"index": k, "exponent": list(G.char_exponents[k]), "fingerprint": list(chi.fingerprint)}
-            for k, chi in enumerate(G.characters)
+            {"index": k, "exponent": list(G.char_exponents[k]), "fingerprint": list(fp)}
+            for k, fp in enumerate(G.characters)
         ],
         "ages": {str(list(g)): str(G.age(g)) for g in G.elements},
         "junior_elements": [list(g) for g in G.junior_elements()],

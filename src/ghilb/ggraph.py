@@ -92,7 +92,6 @@ class GGraph:
     char_index: tuple[int, ...]
     kind: str
     params: tuple[int, int, int, int, int, int]
-    alpha_beta_gamma: tuple[int, int, int]
 
     def char_to_gamma(self) -> dict[int, int]:
         """Map a character index to the position of its monomial in gamma."""
@@ -122,7 +121,7 @@ def complement(ideal: MonomialIdeal) -> list[Monomial]:
 def classify(
     G: AbelianGroup, gamma: list[Monomial], chars: list[int], ideal: MonomialIdeal
 ):
-    """Determine (kind, params, pure-power exponents) from character matching.
+    """Determine (kind, params) from character matching.
 
     Raises ClassificationError when the matched monomials do not have the
     required shape or the three axis relations disagree on the kind; either
@@ -165,7 +164,7 @@ def classify(
             )
     if len(set(kinds)) != 1:
         raise ClassificationError(f"axis relations disagree on the kind: {kinds}")
-    return kinds[0], (a, b, c, d, e, f), (alpha, beta, gamma_exp)
+    return kinds[0], (a, b, c, d, e, f)
 
 
 def is_ggraph(G: AbelianGroup, ideal: MonomialIdeal) -> GGraph | None:
@@ -176,14 +175,13 @@ def is_ggraph(G: AbelianGroup, ideal: MonomialIdeal) -> GGraph | None:
     chars = [G.char_index(m) for m in gamma]
     if len(set(chars)) != len(chars):
         return None
-    kind, params, abg = classify(G, gamma, chars, ideal)
+    kind, params = classify(G, gamma, chars, ideal)
     return GGraph(
         gamma=tuple(gamma),
         ideal=ideal,
         char_index=tuple(chars),
         kind=kind,
         params=params,
-        alpha_beta_gamma=abg,
     )
 
 
@@ -291,7 +289,7 @@ def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
     return results
 
 
-def brute_force_fixed_points(G: AbelianGroup, cap: int = 16) -> list[GGraph]:
+def brute_force_fixed_points(G: AbelianGroup, cap: int) -> list[GGraph]:
     """Independent oracle: depth-first search over admissible staircases.
 
     Staircases are grown one monomial at a time in increasing (degree, lex)
@@ -366,32 +364,3 @@ def _lowered(m: Monomial, axis: int) -> Monomial:
     s = list(m)
     s[axis] -= 1
     return tuple(s)
-
-
-def fixed_points_2d(r: int) -> list[tuple[tuple[int, int], ...]]:
-    """Torus-fixed staircases for the cyclic SL2 model with weights (1, r-1).
-
-    Returns the Young diagrams of size r whose cells carry pairwise distinct
-    characters i - j mod r.
-    """
-    if r < 2:
-        raise ValueError(f"order must be at least 2, got {r}")
-    results = []
-    for lam in _partitions(r):
-        cells = tuple(
-            sorted((i, j) for i, height in enumerate(lam) for j in range(height))
-        )
-        chars = {(i - j) % r for i, j in cells}
-        if len(chars) == r:
-            results.append(cells)
-    return sorted(results)
-
-
-def _partitions(n: int, cap: int | None = None):
-    cap = n if cap is None else cap
-    if n == 0:
-        yield []
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield [first] + rest

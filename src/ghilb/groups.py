@@ -6,8 +6,9 @@ w = exp(2*pi*i/R).  The determinant-one condition reads v1+v2+v3 = 0 mod R.
 A character is determined by its values on the generators, so it is keyed by
 its pairing with the generator elements: #generators integers mod R.  Its
 public form is the value table (fingerprint) over the canonically ordered
-elements, built once per character, so that equality of fingerprints is
-equality of characters.
+elements, entry k the exponent e of its value w^e at the k-th element, built
+once per character, so that equality of fingerprints is equality of
+characters; AbelianGroup.characters holds the fingerprints.
 """
 
 from __future__ import annotations
@@ -74,20 +75,6 @@ class GroupSpec:
             raise GroupSpecError("all generators are trivial")
 
 
-@dataclass(frozen=True)
-class Character:
-    """A character of G, as its exponent-value table over the group elements.
-
-    fingerprint[k] is the exponent e with character value w^e at the k-th
-    element in canonical order, w = exp(2*pi*i/R).
-    """
-
-    fingerprint: tuple[int, ...]
-
-    def is_trivial(self) -> bool:
-        return not any(self.fingerprint)
-
-
 class AbelianGroup:
     """Closure of the diagonal generators, with precomputed character data.
 
@@ -149,7 +136,7 @@ class AbelianGroup:
             )
         fp_of_key = {key: self._pairing(e, self.elements) for key, e in rep_of_key.items()}
         keys = sorted(rep_of_key, key=fp_of_key.__getitem__)
-        self.characters: tuple[Character, ...] = tuple(Character(fp_of_key[k]) for k in keys)
+        self.characters: tuple[tuple[int, ...], ...] = tuple(fp_of_key[k] for k in keys)
         self.char_exponents: tuple[Triple, ...] = tuple(rep_of_key[k] for k in keys)
         index_of_key = {key: k for k, key in enumerate(keys)}
         # Index table for products of characters, via key addition.
@@ -178,9 +165,6 @@ class AbelianGroup:
         tx, ty, tz = self._axis_index
         return add[add[tx[e[0] % R]][ty[e[1] % R]]][tz[e[2] % R]]
 
-    def char_of_monomial(self, e: Triple) -> Character:
-        return self.characters[self.char_index(e)]
-
     # -- ages and junior elements --------------------------------------------
 
     def age(self, g: Triple) -> Fraction:
@@ -198,7 +182,3 @@ class AbelianGroup:
             for g in self.spec.generators
         )
         return f"AbelianGroup({gens}, order={self.order})"
-
-
-def group_from_text(text: str) -> AbelianGroup:
-    return AbelianGroup(GroupSpec.parse(text))

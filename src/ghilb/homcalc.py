@@ -24,7 +24,6 @@ from .groups import AbelianGroup
 class HomInstance:
     """Generators of the source ideal paired with their target monomials."""
 
-    source: GGraph
     target: GGraph
     gens: tuple[Monomial, ...]
     targets: tuple[Monomial, ...]
@@ -40,10 +39,10 @@ def hom_instance(G: AbelianGroup, source: GGraph, target: GGraph) -> HomInstance
             f"target staircase carries no monomial of character {exc}; "
             "the staircase is corrupted"
         ) from exc
-    return HomInstance(source=source, target=target, gens=gens, targets=matched)
+    return HomInstance(target=target, gens=gens, targets=matched)
 
 
-def hom_constraints(inst: HomInstance, trace: list | None = None) -> list[dict[int, int]]:
+def hom_constraints(inst: HomInstance) -> list[dict[int, int]]:
     """The pairwise lcm syzygies, as linear rows on the generators' scalars.
 
     For generators g, h with lcm L, the two transported images are
@@ -51,8 +50,7 @@ def hom_constraints(inst: HomInstance, trace: list | None = None) -> list[dict[i
     quotient they are the same monomial and the scalars agree, the row
     x_g - x_h; if exactly one survives its scalar is zero, the row x_g or
     x_h; if neither does, the relation is vacuous and gives no row.  A
-    monomial survives exactly when it lies in the target staircase.  Given a
-    list, each syzygy is appended to it as an audit record.
+    monomial survives exactly when it lies in the target staircase.
     """
     staircase = set(inst.target.gamma)
     n = len(inst.gens)
@@ -72,33 +70,17 @@ def hom_constraints(inst: HomInstance, trace: list | None = None) -> list[dict[i
                         "syzygy differ; the target staircase is corrupted"
                     )
                 rows.append({i: 1, j: -1})
-                action = "union"
             elif g_lives:
                 rows.append({i: 1})
-                action = "zero_first"
             elif h_lives:
                 rows.append({j: 1})
-                action = "zero_second"
-            else:
-                action = "none"
-            if trace is not None:
-                trace.append(
-                    {
-                        "pair": [list(g), list(h)],
-                        "lcm": list(lcm),
-                        "images": [list(u_g), list(u_h)],
-                        "action": action,
-                    }
-                )
     return rows
 
 
-def hom_dim(
-    G: AbelianGroup, source: GGraph, target: GGraph, trace: list | None = None
-) -> int:
+def hom_dim(G: AbelianGroup, source: GGraph, target: GGraph) -> int:
     """dim Hom_A(I1, A/I2)^G for two fixed points: the scalars less the rank of their syzygies."""
     inst = hom_instance(G, source, target)
-    return len(inst.gens) - len(linalg.two_term_basis(hom_constraints(inst, trace)))
+    return len(inst.gens) - len(linalg.two_term_basis(hom_constraints(inst)))
 
 
 def hom_matrix(G: AbelianGroup, fixed_points: list[GGraph]) -> list[list[int]]:

@@ -92,7 +92,6 @@ class Chart(NamedTuple):
     """
 
     group: AbelianGroup
-    gg: GGraph
     exponents: tuple[tuple[int, int, int], ...]
     slots: tuple[list[int], list[int], list[int]]
     top: tuple[int, int, int]
@@ -100,7 +99,7 @@ class Chart(NamedTuple):
 
 @dataclass(frozen=True)
 class ModuleRep:
-    """A module of G, built at the point coords of the chart of gg.
+    """A module of G, built at the point coords of a fixed point's chart.
 
     B_alpha sends line c to line shifts(G)[alpha][c] with coefficient
     coeffs[alpha][c] / denominator, and the cyclic vector spans line 0.
@@ -113,7 +112,6 @@ class ModuleRep:
     """
 
     group: AbelianGroup = field(repr=False, compare=False)
-    gg: GGraph
     coords: tuple[Fraction, Fraction, Fraction]
     coeffs: tuple[list, list, list]
     denominator: int = 1
@@ -161,7 +159,7 @@ def chart(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> Chart:
             column.append(slot_of.setdefault(tuple(exponents), len(slot_of)))
         slots.append(column)
     top = tuple(max(key[i] for key in slot_of) for i in range(3))
-    return Chart(G, gg, tuple(slot_of), tuple(slots), top)
+    return Chart(G, tuple(slot_of), tuple(slots), top)
 
 
 def build_rep(chart: Chart, coords: tuple) -> ModuleRep:
@@ -185,7 +183,7 @@ def build_rep(chart: Chart, coords: tuple) -> ModuleRep:
     tx, ty, tz = tables
     values = [tx[i] * ty[j] * tz[k] for i, j, k in chart.exponents]
     coeffs = tuple([values[s] for s in column] for column in chart.slots)
-    return ModuleRep(chart.group, chart.gg, coords, coeffs, denominator)
+    return ModuleRep(chart.group, coords, coeffs, denominator)
 
 
 def verify_adhm(rep: ModuleRep) -> bool:

@@ -58,19 +58,3 @@ def quiver_dot(G: AbelianGroup) -> str:
             lines.extend([f"  v{l} -> v{k};"] * a1[k][l])
     lines.append("}")
     return "\n".join(lines)
-
-
-def cartan_2d(r: int) -> list[list[int]]:
-    """2I - a for the cyclic subgroup of SL2 with weights (1, r-1).
-
-    The two coordinate characters shift a character index by +1 and -1
-    modulo r, so the result is the affine Cartan matrix of type A_{r-1}
-    (with the doubled off-diagonal entry when r = 2).
-    """
-    if r < 2:
-        raise ValueError(f"order must be at least 2, got {r}")
-    a = [[0] * r for _ in range(r)]
-    for l in range(r):
-        a[(l + 1) % r][l] += 1
-        a[(l - 1) % r][l] += 1
-    return [[2 * int(k == l) - a[k][l] for l in range(r)] for k in range(r)]

@@ -154,10 +154,9 @@ def chart_dual_generators(gg: GGraph) -> tuple[Vector, Vector, Vector]:
     return (v_l, v_m, v_n)
 
 
-def check_smooth(pair: LatticePair, cone_or_gens) -> bool:
+def check_smooth(pair: LatticePair, dual_gens) -> bool:
     """True iff the dual generators span a sublattice of index |G| in Z^3."""
-    gens = getattr(cone_or_gens, "dual_gens", cone_or_gens)
-    return abs(linalg.det3(gens)) == pair.group_order
+    return abs(linalg.det3(dual_gens)) == pair.group_order
 
 
 def dual_rays(pair: LatticePair, dual_gens) -> tuple[RayVec, RayVec, RayVec]:

@@ -40,10 +40,10 @@ def seeded_rng(*parts: int) -> random.Random:
 def verification_report(
     G: AbelianGroup,
     *,
-    oracle_cap: int = 16,
-    samples: int = 5,
-    seed: int = 0,
-    max_pairs: int | None = None,
+    oracle_cap: int,
+    samples: int,
+    seed: int,
+    max_pairs: int | None,
 ) -> dict:
     checks: list[dict] = []
     report = {

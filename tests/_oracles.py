@@ -11,7 +11,9 @@ elimination; no syzygy bookkeeping is shared with the production route.
 
 enumerate_fixed_points_scan, character_scan and lattices_scan: the direct
 scans over the six-parameter box and over [0, R)^3 that the enumeration, the
-character table and the lattice construction replace.
+character table and the lattice construction replace.  hook_staircases: the
+fixed points of the SL2 case in closed form, against which the enumeration
+on r:1,r-1,0 is checked.
 
 rank_dense, kernel_dense, mat_mul and dense: dense Fraction Gaussian
 elimination and matrix products, against which the package's one sparse
@@ -152,6 +154,19 @@ def enumerate_fixed_points_scan(G: AbelianGroup) -> list[GGraph]:
                                 results.append(gg)
     results.sort(key=lambda gg: gg.gamma)
     return results
+
+
+def hook_staircases(r: int) -> list[tuple]:
+    """The staircases of the r hooks of size r, sorted, as monomials in z = 0.
+
+    They are the Young diagrams of size r whose cells (i, j) carry pairwise
+    distinct contents i - j mod r: a hook's r contents are consecutive, and
+    any other diagram holds the cell (1, 1) of the content of (0, 0).
+    """
+    return sorted(
+        tuple(sorted({(i, 0, 0) for i in range(a)} | {(0, j, 0) for j in range(r + 1 - a)}))
+        for a in range(1, r + 1)
+    )
 
 
 def fingerprint(G: AbelianGroup, e) -> tuple[int, ...]:
@@ -389,7 +404,7 @@ def build_rep_fractions(chart: Chart, coords: tuple) -> ModuleRep:
             coeff *= table[power]
         values.append(coeff.numerator if coeff.denominator == 1 else coeff)
     coeffs = tuple([values[s] for s in column] for column in chart.slots)
-    return ModuleRep(chart.group, chart.gg, coords, coeffs)
+    return ModuleRep(chart.group, coords, coeffs)
 
 
 def dense_matrices(rep: ModuleRep):
@@ -407,9 +422,9 @@ def dense_matrices(rep: ModuleRep):
 
 
 def module_from_dense(rep: ModuleRep, b) -> ModuleRep | None:
-    """rep's group, staircase and point with dense matrices b on character
-    lines, or None when some entry of b lies off its arrow (then b is not a
-    module of G).  Integral entries become ints over denominator 1."""
+    """rep's group and point with dense matrices b on character lines, or
+    None when some entry of b lies off its arrow (then b is not a module of
+    G).  Integral entries become ints over denominator 1."""
     coeffs = []
     for mat, ts in zip(b, arrows(rep.group)):
         for r, row in enumerate(mat):
@@ -417,7 +432,7 @@ def module_from_dense(rep: ModuleRep, b) -> ModuleRep | None:
                 return None
         values = [Fraction(mat[t][c]) for c, t in enumerate(ts)]
         coeffs.append([x.numerator if x.denominator == 1 else x for x in values])
-    return ModuleRep(rep.group, rep.gg, rep.coords, tuple(coeffs))
+    return ModuleRep(rep.group, rep.coords, tuple(coeffs))
 
 
 def _walk(rep: ModuleRep, targets, word, line: int):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import cache
 
 from ghilb import ggraph, koszul, toric
-from ghilb.groups import group_from_text
+from ghilb.groups import AbelianGroup, GroupSpec
 
 SUITE_3D = [
     ("2:1,1,0", 2),
@@ -20,7 +20,7 @@ SUITE_3D = [
 
 @cache
 def get_group(spec: str):
-    return group_from_text(spec)
+    return AbelianGroup(GroupSpec.parse(spec))
 
 
 @cache

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Suite groups: 1/2(1,1,0), 1/3(1,1,1), 1/5(1,2,2), 1/6(1,2,3), 1/7(1,2,4),
-1/11(1,2,8), the Klein four-group, and the 2D cyclic models for r = 2..10.
+1/11(1,2,8), the Klein four-group, and, for the SL2 case, 1/r(1,r-1,0) for
+r = 2..10.
 All checks are exact; the only tolerances are the stated runtime budgets.
 """
 
@@ -9,10 +10,10 @@ import time
 from fractions import Fraction
 from math import comb, gcd
 
-from _oracles import hom_dim_dense
+from _oracles import hom_dim_dense, hook_staircases
 from conftest import SUITE_3D, get_charts, get_cones, get_fixed_points, get_group, get_lattices
 from ghilb import ggraph, linalg, toric
-from ghilb.groups import group_from_text
+from ghilb.groups import AbelianGroup, GroupSpec
 from ghilb.homcalc import hom_dim, hom_matrix
 from ghilb.koszul import (
     all_b_invertible,
@@ -23,7 +24,7 @@ from ghilb.koszul import (
     sample_chart_points,
     verify_adhm,
 )
-from ghilb.mckay import cartan_2d, intersection_matrix, mckay_matrices
+from ghilb.mckay import intersection_matrix, mckay_matrices
 from ghilb.verify import seeded_rng
 
 
@@ -36,7 +37,7 @@ def test_criterion_1_enumeration_matches_oracle():
     started = time.monotonic()
     checked = []
     for spec, order in SUITE_3D:
-        G = group_from_text(spec)  # fresh, so the timing is honest
+        G = AbelianGroup(GroupSpec.parse(spec))  # fresh, so the timing is honest
         fps = ggraph.enumerate_fixed_points(G)
         oracle = ggraph.brute_force_fixed_points(G, cap=16)
         assert [gg.to_json() for gg in fps] == [gg.to_json() for gg in oracle]
@@ -55,7 +56,7 @@ def test_criterion_2_classification():
     for spec, order in SUITE_3D:
         for gg in get_fixed_points(spec):
             a, b, c, d, e, f = gg.params
-            alpha, beta, gamma = gg.alpha_beta_gamma
+            alpha, beta, gamma = gg.ideal.pure_power_exponents()
             delta = 1 if gg.kind == "A" else 0
             assert gg.kind in ("A", "B")
             assert (alpha, beta, gamma) == (a + d - delta, b + e - delta, c + f - delta)
@@ -146,9 +147,15 @@ def test_criterion_6_tensor_identities():
 
 
 def test_criterion_7_two_dimensional_mckay():
+    # 1/r(1,r-1,0) is the SL2 group 1/r(1,r-1) acting trivially on z: its
+    # fixed points are the r hooks in z = 0, and as chi_z is trivial,
+    # 3I - a1 = 2I - a is the Cartan matrix of the SL2 case
     for r in range(2, 11):
-        assert len(ggraph.fixed_points_2d(r)) == r
-        mat = cartan_2d(r)
+        G = get_group(f"{r}:1,{r - 1},0")
+        fps = ggraph.enumerate_fixed_points(G)
+        assert [gg.gamma for gg in fps] == hook_staircases(r)
+        _, a1, _, _ = mckay_matrices(G)
+        mat = [[3 * (k == l) - a1[k][l] for l in range(r)] for k in range(r)]
         expected = [
             [
                 2 * (k == l) - ((k - l) % r == 1) - ((l - k) % r == 1)
@@ -159,7 +166,7 @@ def test_criterion_7_two_dimensional_mckay():
             for k in range(r)
         ]
         assert mat == expected, f"cartan matrix wrong for r={r}"
-    report(7, True, "2D fixed-point count = r and 2I - a = affine A_(r-1), r = 2..10")
+    report(7, True, "1/r(1,r-1,0): r hook fixed points, 3I - a1 = affine A_(r-1), r = 2..10")
 
 
 def test_criterion_8_adhm_at_fixed_and_chart_points():

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import get_group
 from ghilb.cli import console_main, main
-from ghilb.groups import group_from_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,7 +65,7 @@ def test_fan_command_at_order_one_hundred(capsys, spec):
     code, out, _ = run(capsys, "fan", "--group", spec)
     assert code == 0
     payload = json.loads(out)
-    G = group_from_text(spec)
+    G = get_group(spec)
     assert len(payload["charts"]) == len(payload["cones"]) == G.order
     assert all(flag["smooth"] and flag["crepant"] for flag in payload["charts"])
     assert len(payload["rays"]) == 3 + len(G.junior_elements())
@@ -241,6 +241,15 @@ def test_fixed_points_and_fan_json_match_golden(capsys, argv, golden, tmp_path):
     assert main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("spec,tag", [("7:1,2,4", "7-1-2-4"), ("3:1,2,0;3:0,1,2", "3-1-2-0_3-0-1-2")])
+def test_quiver_json_and_dot_match_golden(capsys, spec, tag, tmp_path):
+    out, dot = tmp_path / "quiver.json", tmp_path / "quiver.dot"
+    assert main(["quiver", "--group", spec, "--out", str(out), "--dot", str(dot)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / f"quiver_{tag}.json").read_bytes()
+    assert dot.read_bytes() == (GOLDEN / f"quiver_{tag}.dot").read_bytes()
 
 
 PLANTED_AT = 2

@@ -33,7 +33,7 @@ def test_trivial_character_means_invariant_lattice_point(e):
     for spec in ("7:1,2,4", "2:1,1,0;2:1,0,1"):
         G = get_group(spec)
         pair = get_lattices(spec)
-        assert G.char_of_monomial(e).is_trivial() == pair.in_m(e)
+        assert (not any(G.characters[G.char_index(e)])) == pair.in_m(e)
 
 
 @pytest.mark.parametrize("spec", ["2:1,1,0", "6:1,2,3", "7:1,2,4"])
@@ -61,7 +61,7 @@ def test_random_specs_have_full_character_groups(order, w1, w2):
     except GroupSpecError:
         return  # trivial generator drawn
     assert len(G.characters) == G.order
-    assert G.char_of_monomial((1, 1, 1)).is_trivial()
+    assert not any(G.characters[G.char_index((1, 1, 1))])
     elements = set(G.elements)
     for g in elements:
         for h in elements:
@@ -81,7 +81,7 @@ def _assert_report_passes(gens):
         G = AbelianGroup(GroupSpec(tuple(gens)))
     except GroupSpecError:
         assume(False)  # trivial group drawn
-    report = verification_report(G)
+    report = verification_report(G, oracle_cap=16, samples=5, seed=0, max_pairs=None)
     assert report["pass"] is True
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert not {"fail", "empty"} & set(statuses.values()), statuses

@@ -1,6 +1,6 @@
 import pytest
 
-from _oracles import enumerate_fixed_points_scan
+from _oracles import enumerate_fixed_points_scan, hook_staircases
 from conftest import SUITE_3D, get_fixed_points, get_group
 from ghilb.ggraph import (
     GGraph,
@@ -11,7 +11,6 @@ from ghilb.ggraph import (
     complement,
     count_identity_value,
     enumerate_fixed_points,
-    fixed_points_2d,
     is_ggraph,
     mono_divides,
     verify_count_identity,
@@ -87,7 +86,7 @@ def test_classify_axis_staircase_order_three():
     assert gg is not None
     assert gg.kind == "A"
     assert gg.params == (2, 1, 1, 2, 1, 1)
-    assert gg.alpha_beta_gamma == (3, 1, 1)
+    assert gg.ideal.pure_power_exponents() == (3, 1, 1)
 
 
 def test_count_identity_formulas():
@@ -110,7 +109,7 @@ def test_enumeration_count_and_identities(spec, order):
 def test_enumeration_matches_oracle(spec, order):
     G = get_group(spec)
     fps = get_fixed_points(spec)
-    oracle = brute_force_fixed_points(G)
+    oracle = brute_force_fixed_points(G, cap=16)
     assert [gg.to_json() for gg in fps] == [gg.to_json() for gg in oracle]
 
 
@@ -183,21 +182,25 @@ def test_to_json_shape():
 
 @pytest.mark.parametrize("r", range(2, 11))
 def test_two_dimensional_fixed_point_count(r):
-    points = fixed_points_2d(r)
+    # r:1,r-1,0 is the SL2 group 1/r(1, r-1) acting trivially on z: z has
+    # the trivial character, so every staircase lies in z = 0, where the
+    # character of x^i y^j is i - j mod r
+    points = get_fixed_points(f"{r}:1,{r - 1},0")
     assert len(points) == r
-    for cells in points:
-        assert len(cells) == r
-        assert (0, 0) in cells
+    for gg in points:
+        assert all(k == 0 for _, _, k in gg.gamma)
+        assert len({(i - j) % r for i, j, _ in gg.gamma}) == r
+    assert [gg.gamma for gg in points] == hook_staircases(r)
 
 
 def test_two_dimensional_staircases_order_three():
-    got = fixed_points_2d(3)
+    got = {gg.gamma for gg in get_fixed_points("3:1,2,0")}
     hooks = {
-        tuple(sorted([(0, 0), (1, 0), (2, 0)])),
-        tuple(sorted([(0, 0), (1, 0), (0, 1)])),
-        tuple(sorted([(0, 0), (0, 1), (0, 2)])),
+        tuple(sorted([(0, 0, 0), (1, 0, 0), (2, 0, 0)])),
+        tuple(sorted([(0, 0, 0), (1, 0, 0), (0, 1, 0)])),
+        tuple(sorted([(0, 0, 0), (0, 1, 0), (0, 2, 0)])),
     }
-    assert set(got) == hooks
+    assert got == hooks
 
 
 def test_divisibility_helper():

@@ -2,7 +2,7 @@ import pytest
 
 from _oracles import hom_dim_dense
 from conftest import SUITE_3D, get_fixed_points, get_group
-from ghilb.homcalc import hom_dim, hom_instance, hom_matrix
+from ghilb.homcalc import hom_constraints, hom_dim, hom_instance, hom_matrix
 
 ORACLE_SPECS = [spec for spec, order in SUITE_3D if order <= 10]
 
@@ -32,9 +32,12 @@ def test_hom_instance_targets_match_characters():
         assert target in fps[1].gamma
 
 
-def _classes_from_trace(gens, trace):
-    """Replay the audit trace with a fresh union-find, for inspection."""
-    index = {g: i for i, g in enumerate(gens)}
+def _classes_from_rows(gens, rows):
+    """Replay the syzygy rows with a fresh union-find, for inspection.
+
+    A row {i: 1, j: -1} joins generators i and j, and a row {i: 1} zeroes
+    generator i; no other row may occur.
+    """
     parent = list(range(len(gens)))
     zero = [False] * len(gens)
 
@@ -43,22 +46,24 @@ def _classes_from_trace(gens, trace):
             i = parent[i]
         return i
 
-    for record in trace:
-        gi = find(index[tuple(record["pair"][0])])
-        hi = find(index[tuple(record["pair"][1])])
-        if record["action"] == "union":
+    for row in rows:
+        if len(row) == 2:
+            assert sorted(row.values()) == [-1, 1], row
+            gi, hi = (find(i) for i in row)
             if gi != hi:
                 parent[hi] = gi
                 zero[gi] = zero[gi] or zero[hi]
-        elif record["action"] == "zero_first":
-            zero[gi] = True
-        elif record["action"] == "zero_second":
-            zero[hi] = True
+        else:
+            assert list(row.values()) == [1], row
+            zero[find(*row)] = True
     classes: dict = {}
-    for g, i in index.items():
-        root = find(i)
-        classes.setdefault(root, []).append(g)
+    for i, g in enumerate(gens):
+        classes.setdefault(find(i), []).append(g)
     return {tuple(sorted(v)): zero[root] for root, v in classes.items()}
+
+
+def _rows(G, source, target):
+    return hom_constraints(hom_instance(G, source, target))
 
 
 def test_diagonal_class_structure_order_seven():
@@ -66,9 +71,8 @@ def test_diagonal_class_structure_order_seven():
     # mixed generators are all forced to zero
     G = get_group("7:1,2,4")
     gg = get_fixed_points("7:1,2,4")[0]
-    trace: list = []
-    assert hom_dim(G, gg, gg, trace=trace) == 3
-    classes = _classes_from_trace(gg.ideal.gens, trace)
+    assert hom_dim(G, gg, gg) == 3
+    classes = _classes_from_rows(gg.ideal.gens, _rows(G, gg, gg))
     free = [gens for gens, is_zero in classes.items() if not is_zero]
     assert len(free) == 3
     for gens in free:
@@ -82,9 +86,8 @@ def test_xyz_scalar_dies_off_diagonal():
     for source, target in ((fps[0], fps[1]), (fps[2], fps[5])):
         if (1, 1, 1) not in source.ideal.gens:
             continue
-        trace: list = []
-        assert hom_dim(G, source, target, trace=trace) == 1
-        classes = _classes_from_trace(source.ideal.gens, trace)
+        assert hom_dim(G, source, target) == 1
+        classes = _classes_from_rows(source.ideal.gens, _rows(G, source, target))
         for gens, is_zero in classes.items():
             if (1, 1, 1) in gens:
                 assert is_zero
@@ -109,11 +112,11 @@ def test_zero_marking_is_order_independent():
         fps = get_fixed_points(spec)
         for source in fps:
             for target in fps:
-                trace: list = []
-                expected = hom_dim(G, source, target, trace=trace)
+                rows = _rows(G, source, target)
+                expected = hom_dim(G, source, target)
                 rng = random.Random(99)
                 for _ in range(10):
-                    rng.shuffle(trace)
-                    classes = _classes_from_trace(source.ideal.gens, trace)
+                    rng.shuffle(rows)
+                    classes = _classes_from_rows(source.ideal.gens, rows)
                     free = sum(1 for is_zero in classes.values() if not is_zero)
                     assert free == expected

@@ -20,10 +20,11 @@ from _oracles import (
 from conftest import SUITE_3D, get_charts, get_cones, get_fixed_points, get_group
 from ghilb import verify
 from ghilb.ggraph import MonomialIdeal
-from ghilb.groups import group_from_text
+from ghilb.groups import AbelianGroup, GroupSpec
 from ghilb.toric import ChartError
 from ghilb.verify import betti_table, seeded_rng
 from ghilb.koszul import (
+    WEDGE_PAIRS,
     all_b_invertible,
     build_rep,
     chart,
@@ -158,7 +159,7 @@ def test_corrupted_rep_fails():
 def test_cyclicity_fails_without_seed_reachability():
     # zeroing all matrices kills the Krylov span
     G, rep = _rep_at("2:1,1,0", 0, (1, 1, 1))
-    n = len(rep.gg.gamma)
+    n = G.order
     zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
     hollow = module_from_dense(rep, (zero, zero, zero))
     assert krylov_dim(hollow) == 1
@@ -185,7 +186,7 @@ def test_nil_complex_at_fixed_point():
 
 def test_nil_complex_transpose_symmetry():
     G, rep = _rep_at("3:1,1,1", 0, (0, 0, 0))
-    n = len(rep.gg.gamma)
+    n = G.order
     d3, d2, d1 = dense_differentials(cpxnil_differentials(rep))
     r3, r2, r1 = (rank_dense(d) for d in (d3, d2, d1))
     t3, t2, t1 = (rank_dense(list(zip(*d))) for d in (d3, d2, d1))
@@ -282,7 +283,7 @@ def test_support_check_decides_chart_samples_and_fixed_points(spec, order):
 def _rescaled(rep, alpha, col, factor):
     """The module with the one nonzero entry of column col of B_alpha scaled."""
     mats = [[list(row) for row in mat] for mat in dense_matrices(rep)[0]]
-    row = next(r for r in range(len(rep.gg.gamma)) if mats[alpha][r][col])
+    row = next(r for r in range(rep.group.order) if mats[alpha][r][col])
     mats[alpha][row][col] *= factor
     return module_from_dense(rep, mats)
 
@@ -338,7 +339,7 @@ def test_support_check_matches_the_walk(spec):
             assert support_check(G, rep) == support_check_walk(G, rep), (k, rep.coords)
         unit = build_rep(chart_k, (Fraction(1),) * 3)
         rng = seeded_rng(47, k)
-        n = len(chart_k.gg.gamma)
+        n = G.order
         for rep in (samples[0], unit):
             for alpha in range(3):
                 for _ in range(3):
@@ -374,9 +375,10 @@ def test_pair_complex_refuses_modules_of_another_group():
     # other group, even of the same order or of the same spec rebuilt, is
     # refused in either argument order
     G, rep = _rep_at("3:1,1,1", 0, (1, 2, 3))
+    fresh = AbelianGroup(GroupSpec.parse("3:1,1,1"))
     others = [
         build_rep(get_charts("3:1,2,0")[0], (0, 0, 0)),
-        build_rep(chart(group_from_text("3:1,1,1"), rep.gg, get_cones("3:1,1,1")[0]), (0, 0, 0)),
+        build_rep(chart(fresh, get_fixed_points("3:1,1,1")[0], get_cones("3:1,1,1")[0]), (0, 0, 0)),
     ]
     for other in others:
         assert other.group is not G and other.group.order == G.order
@@ -434,7 +436,7 @@ def planted_modules(draw, spec):
     chart_k = charts[draw(st.integers(0, len(charts) - 1))]
     coords = draw(st.tuples(*[st.one_of(st.just(0), VALUE)] * 3))
     rep = build_rep(chart_k, tuple(Fraction(c) for c in coords))
-    n = len(chart_k.gg.gamma)
+    n = chart_k.group.order
     diagonal = draw(st.lists(VALUE, min_size=n, max_size=n))
     scales = draw(st.tuples(*[st.one_of(st.just(1), st.just(0), VALUE)] * 3))
     mats = [
@@ -566,3 +568,49 @@ def test_pair_differentials_are_scalar_multiples_of_the_fraction_route(spec):
             want = dense_differentials(koszul_differentials(G, ref_a, ref_b))
             for mat, ref in zip(got, want):
                 assert _scalar_multiple(mat, ref), (k, a.coords, b.coords)
+
+
+# Serre duality on the pair complex: s_alpha, for alpha = x, y, z, is the sign
+# between row (alpha, c) of d3 and the column of d1 that mirrors it.  Written
+# out here, not read from koszul.WEDGE_SIGNS, so that a fault there shows.
+DUALITY_SIGNS = (-1, 1, -1)
+
+
+def _assert_serre_dual(G, rep_i, rep_j):
+    """Row (alpha, c) of d3(i, j) is s_alpha times column (p, c + chi_alpha) of
+    d1(j, i), where p is the wedge pair without alpha and s = DUALITY_SIGNS:
+    the complex of (j, i) is the dual of that of (i, j), read backwards."""
+    n, shift = G.order, shifts(G)
+    d3 = koszul_differentials(G, rep_i, rep_j).d3
+    d1 = koszul_differentials(G, rep_j, rep_i).d1
+    for alpha, sign in enumerate(DUALITY_SIGNS):
+        p = WEDGE_PAIRS.index(tuple(beta for beta in range(3) if beta != alpha))
+        for c in range(n):
+            column = d1[p * n + shift[alpha][c]]
+            assert d3[alpha * n + c] == {row: sign * x for row, x in column.items()}, (alpha, c)
+
+
+@pytest.mark.parametrize("spec", ["7:1,2,4", "3:1,2,0;3:0,1,2", "6:1,5,0"])
+def test_pair_complex_is_serre_dual_at_fixed_points(spec):
+    # every ordered pair; 6:1,5,0 has a zero weight, where the two entries of
+    # a z-row of d3 fall on one column
+    G = get_group(spec)
+    reps = [build_rep(c, (0, 0, 0)) for c in get_charts(spec)]
+    for rep_i in reps:
+        for rep_j in reps:
+            _assert_serre_dual(G, rep_i, rep_j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pair_complex_is_serre_dual_at_chart_samples(data):
+    # two chart points, some coordinates zero, their denominators mostly unequal
+    spec = data.draw(st.sampled_from(ROUTE_SPECS))
+    G, charts = get_group(spec), get_charts(spec)
+    reps = []
+    for _ in range(2):
+        chart_k = charts[data.draw(st.integers(0, len(charts) - 1))]
+        drawn = data.draw(st.tuples(*[st.one_of(st.just(0), COORD)] * 3))
+        reps.append(build_rep(chart_k, tuple(Fraction(c) for c in drawn)))
+    _assert_serre_dual(G, *reps)
+    _assert_serre_dual(G, *reversed(reps))

