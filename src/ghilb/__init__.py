@@ -27,7 +27,7 @@ from .koszul import (
     verify_adhm,
 )
 from .mckay import intersection_matrix, mckay_matrices, quiver_dot
-from .toric import Fan, LatticePair, build_fan, chart_cone, check_smooth, lattices
+from .toric import Fan, build_fan, chart_cone
 from .verify import verification_report
 
 __version__ = "0.1.0"
@@ -39,14 +39,12 @@ __all__ = [
     "GGraph",
     "GroupSpec",
     "GroupSpecError",
-    "LatticePair",
     "ModuleRep",
     "MonomialIdeal",
     "brute_force_fixed_points",
     "build_fan",
     "build_rep",
     "chart_cone",
-    "check_smooth",
     "complement",
     "cpxnil_homology",
     "enumerate_fixed_points",
@@ -55,7 +53,6 @@ __all__ = [
     "intersection_matrix",
     "is_ggraph",
     "koszul_homology",
-    "lattices",
     "mckay_matrices",
     "quiver_dot",
     "verification_report",

@@ -1,4 +1,4 @@
-"""Exact linear algebra: one sparse elimination kernel, two-term bases, HNF and 3x3 closed forms.
+"""Exact linear algebra: one sparse elimination kernel, two-term bases and 3x3 closed forms.
 
 ``rank_sparse`` is the package's only elimination.  It takes rows as dicts
 column -> value holding ints or Fractions, scales each row to a primitive
@@ -7,10 +7,9 @@ row operations, so no quotient is ever formed.  ``two_term_basis`` needs no
 elimination: on rows with at most two nonzeros it finds a row basis by
 union-find over the columns, keeping exact ratios.  It cancels the d3 and d1
 cells of the Koszul complexes and ranks the Hom syzygy rows x_g - x_h and
-x_g of ``homcalc``.  ``hnf`` is the integer row Hermite normal form used for
-the lattices; ``det3`` and ``adjugate3`` are the closed-form 3x3 determinant
-and adjugate of the chart and lattice bases.  Everything here is exact; no
-floating point is used anywhere in the package.
+x_g of ``homcalc``.  ``det3`` and ``adjugate3`` are the closed-form 3x3
+determinant and adjugate of the chart exponent matrices.  Everything here is
+exact; no floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -177,33 +176,3 @@ def adjugate3(m) -> list[list]:
         [d * h - e * g, b * g - a * h, a * e - b * d],
     ]
 
-
-def hnf(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form of an integer matrix (nonzero rows only)."""
-    mat = [list(map(int, row)) for row in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for r in range(rank + 1, len(mat)):
-            while mat[r][col]:
-                q = mat[rank][col] // mat[r][col]
-                mat[rank] = [a - q * b for a, b in zip(mat[rank], mat[r])]
-                mat[rank], mat[r] = mat[r], mat[rank]
-        if mat[rank][col] < 0:
-            mat[rank] = [-a for a in mat[rank]]
-        for r in range(rank):
-            q = mat[r][col] // mat[rank][col]
-            if q:
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return [row for row in mat[:rank] if any(row)]

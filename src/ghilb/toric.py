@@ -1,13 +1,13 @@
-"""Toric data of the resolution: lattices, chart cones, fan consistency.
+"""Toric data of the resolution: chart cones and fan consistency.
 
 M is the lattice of invariant Laurent exponents, the kernel of the character
-map on Z^3.  N is its dual, which equals Z^3 extended by the group's weight
-vectors divided by R; M is computed from the Hermite normal form of N.  Each
-fixed point carries an affine chart whose coordinates lambda, mu, nu are
-invariant Laurent monomials; the rows of the inverse transpose of their
-exponent matrix are the rays of the chart cone.  Smoothness of a chart is
-|det| = |G|, and crepancy is every ray sitting at lattice height one
-(coordinate sum one).  ``layers`` runs the chain from the lattices through
+map on Z^3, of index |G|; N = Z^3 + sum Z*g/R is its dual.  Each fixed point
+carries an affine chart whose coordinates lambda, mu, nu are invariant
+Laurent monomials; the rows of the inverse transpose of their exponent
+matrix are the rays of the chart cone.  Three invariant exponents with
+|det| = |G| are a basis of M, so their dual rays are a basis of N: that is
+smoothness, and crepancy is every ray sitting at lattice height one
+(nonnegative coordinates summing to one).  ``layers`` runs the chain from
 the chart cones to the glued fan, recording where it fails.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from . import linalg
@@ -36,25 +35,6 @@ class FanError(RuntimeError):
     def __init__(self, message: str, details: dict):
         super().__init__(message)
         self.details = details
-
-
-@dataclass(frozen=True)
-class LatticePair:
-    """Bases of the invariant lattice M and the resolved lattice N = M*."""
-
-    n_basis: tuple[RayVec, ...]
-    m_basis: tuple[Vector, ...]
-    group_order: int
-
-    def in_m(self, v) -> bool:
-        return all(_dot(v, n).denominator == 1 for n in self.n_basis)
-
-    def n_coordinates(self, ray) -> tuple[int, ...] | None:
-        """Integer coordinates of a vector in the N basis, or None if not in N."""
-        coords = tuple(_dot(ray, m) for m in self.m_basis)
-        if any(c.denominator != 1 for c in coords):
-            return None
-        return tuple(int(c) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -81,10 +61,6 @@ class Fan:
         }
 
 
-def _dot(u, v) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
-
-
 def inverse_transpose(mat) -> list[list[Fraction]]:
     """(mat^-1)^T of a 3x3 integer matrix: its cofactors over its determinant.
 
@@ -96,43 +72,6 @@ def inverse_transpose(mat) -> list[list[Fraction]]:
         raise ValueError("matrix is singular")
     adj = linalg.adjugate3(mat)
     return [[Fraction(adj[j][i], det) for j in range(3)] for i in range(3)]
-
-
-def lattices(G: AbelianGroup) -> LatticePair:
-    """Compute N from the group's weight vectors and M as its dual.
-
-    R*N is spanned by R*Z^3 and the generator elements; M = R * (R*N)^(-T),
-    brought to Hermite normal form as the canonical basis of M.
-    """
-    R = G.R
-    rn_basis = linalg.hnf(
-        [[R, 0, 0], [0, R, 0], [0, 0, R]] + [list(g) for g in G.generator_elements]
-    )
-    m_rows = [[R * x for x in row] for row in inverse_transpose(rn_basis)]
-    if any(x.denominator != 1 for row in m_rows for x in row):
-        raise RuntimeError(f"dual of R*N scaled by R = {R} is not integral")
-    m_basis = linalg.hnf([[int(x) for x in row] for row in m_rows])
-    if len(m_basis) != 3:
-        raise RuntimeError("invariant lattice is not full rank")
-    det_m = linalg.det3(m_basis)
-    if abs(det_m) != G.order:
-        raise RuntimeError(
-            f"index of the invariant lattice is {abs(det_m)}, expected {G.order}"
-        )
-    n_basis = tuple(tuple(row) for row in inverse_transpose(m_basis))
-    for row in n_basis:
-        for x in row:
-            if G.R % x.denominator != 0:
-                raise RuntimeError(f"N basis entry {x} has denominator not dividing R")
-    pair = LatticePair(
-        n_basis=n_basis,
-        m_basis=tuple(tuple(int(x) for x in row) for row in m_basis),
-        group_order=G.order,
-    )
-    for g in G.elements:
-        if pair.n_coordinates(tuple(Fraction(c, R) for c in g)) is None:
-            raise RuntimeError(f"group element {g}/R does not lie in N")
-    return pair
 
 
 def chart_dual_generators(gg: GGraph) -> tuple[Vector, Vector, Vector]:
@@ -154,24 +93,16 @@ def chart_dual_generators(gg: GGraph) -> tuple[Vector, Vector, Vector]:
     return (v_l, v_m, v_n)
 
 
-def check_smooth(pair: LatticePair, dual_gens) -> bool:
-    """True iff the dual generators span a sublattice of index |G| in Z^3."""
-    return abs(linalg.det3(dual_gens)) == pair.group_order
+def dual_rays(dual_gens) -> tuple[RayVec, RayVec, RayVec]:
+    """Rays of the chart cone: the basis dual to the chart exponents.
 
-
-def dual_rays(pair: LatticePair, dual_gens) -> tuple[RayVec, RayVec, RayVec]:
-    """Rays of the chart cone: the basis of N dual to the chart exponents.
-
-    Each ray must be a primitive element of N with nonnegative coordinates
-    summing to one; a violation is a failure of crepancy and raised loudly.
+    When the exponents are invariant with |det| = |G|, they are a basis of M
+    and the rays a basis of N, so each ray is a primitive element of N.  Each
+    must have nonnegative coordinates summing to one; a violation is a
+    failure of crepancy and raised loudly.
     """
     rays = tuple(tuple(row) for row in inverse_transpose(dual_gens))
     for ray in rays:
-        coords = pair.n_coordinates(ray)
-        if coords is None:
-            raise ChartError(f"ray {ray} does not lie in N")
-        if gcd(*coords) != 1:
-            raise ChartError(f"ray {ray} is not primitive in N")
         if any(x < 0 for x in ray):
             raise ChartError(f"ray {ray} has a negative coordinate")
         if sum(ray) != 1:
@@ -179,7 +110,7 @@ def dual_rays(pair: LatticePair, dual_gens) -> tuple[RayVec, RayVec, RayVec]:
     return rays
 
 
-def chart_cone(G: AbelianGroup, pair: LatticePair, gg: GGraph, owner: int) -> ChartCone:
+def chart_cone(G: AbelianGroup, gg: GGraph, owner: int) -> ChartCone:
     """Build and fully validate the cone of one fixed point's chart."""
     gens = chart_dual_generators(gg)
     for v in gens:
@@ -187,18 +118,16 @@ def chart_cone(G: AbelianGroup, pair: LatticePair, gg: GGraph, owner: int) -> Ch
             raise ChartError(
                 f"chart exponent {v} is not invariant; the staircase is misclassified"
             )
-        if not pair.in_m(v):
-            raise ChartError(f"chart exponent {v} is not in M")
-    if not check_smooth(pair, gens):
-        det = linalg.det3(gens)
+    det = linalg.det3(gens)
+    if abs(det) != G.order:
         raise ChartError(
-            f"chart of fixed point {owner} has |det| = {abs(det)}, expected {pair.group_order}"
+            f"chart of fixed point {owner} has |det| = {abs(det)}, expected {G.order}"
         )
-    rays = dual_rays(pair, gens)
+    rays = dual_rays(gens)
     return ChartCone(owner=owner, dual_gens=gens, rays=rays)
 
 
-def build_fan(G: AbelianGroup, pair: LatticePair, cones: list[ChartCone]) -> Fan:
+def build_fan(G: AbelianGroup, cones: list[ChartCone]) -> Fan:
     """Glue the chart cones and check global consistency of the fan.
 
     The deduplicated ray set must consist of the three coordinate rays plus
@@ -224,10 +153,10 @@ def build_fan(G: AbelianGroup, pair: LatticePair, cones: list[ChartCone]) -> Fan
                 "extra": sorted(str(r) for r in set(seen_rays) - expected_rays),
             },
         )
-    if len(cones) != pair.group_order:
+    if len(cones) != G.order:
         raise FanError(
-            f"fan has {len(cones)} maximal cones, expected {pair.group_order}",
-            details={"cones": len(cones), "expected": pair.group_order},
+            f"fan has {len(cones)} maximal cones, expected {G.order}",
+            details={"cones": len(cones), "expected": G.order},
         )
     facet_owners: dict[tuple[RayVec, RayVec], list[int]] = {}
     for cone in cones:
@@ -253,7 +182,6 @@ class Layers(NamedTuple):
     """The toric layers of one group: cone_errors maps a fixed point to its
     chart's error, and only when it is empty is the fan glued, or fan_error set."""
 
-    lattices: LatticePair
     cones: list[ChartCone]
     cone_errors: dict[int, str]
     fan: Fan | None
@@ -261,18 +189,17 @@ class Layers(NamedTuple):
 
 
 def layers(G: AbelianGroup, fixed_points: list[GGraph]) -> Layers:
-    """Lattices, the chart cone of every fixed point, and the fan they glue into."""
-    pair = lattices(G)
+    """The chart cone of every fixed point, and the fan they glue into."""
     cones, cone_errors = [], {}
     for k, gg in enumerate(fixed_points):
         try:
-            cones.append(chart_cone(G, pair, gg, owner=k))
+            cones.append(chart_cone(G, gg, owner=k))
         except ChartError as exc:
             cone_errors[k] = str(exc)
     fan = fan_error = None
     if not cone_errors:
         try:
-            fan = build_fan(G, pair, cones)
+            fan = build_fan(G, cones)
         except FanError as exc:
             fan_error = exc
-    return Layers(pair, cones, cone_errors, fan, fan_error)
+    return Layers(cones, cone_errors, fan, fan_error)

@@ -9,9 +9,12 @@ every pairwise lcm of the generators.  The dimension of the solution space
 is the nullity of the constraint matrix, computed by exact sparse
 elimination; no syzygy bookkeeping is shared with the production route.
 
-enumerate_fixed_points_scan, character_scan and lattices_scan: the direct
-scans over the six-parameter box and over [0, R)^3 that the enumeration, the
-character table and the lattice construction replace.  hook_staircases: the
+enumerate_fixed_points_scan and character_scan: the direct scans over the
+six-parameter box and over [0, R)^3 that the enumeration and the character
+table replace.  in_m, in_n and primitive_in_n: membership in M (e.g = 0 mod R
+for every element g), and membership and primitivity in N = Z^3 + sum Z*g/R,
+straight from their definitions, against which the character table and the
+chart rays are checked with no basis of M or N built.  hook_staircases: the
 fixed points of the SL2 case in closed form, against which the enumeration
 on r:1,r-1,0 is checked.
 
@@ -48,8 +51,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
-from ghilb import linalg, toric
 from ghilb.ggraph import (
     GGraph,
     MonomialIdeal,
@@ -62,7 +65,6 @@ from ghilb.ggraph import (
 from ghilb.groups import AbelianGroup
 from ghilb.koszul import COORD_EXPONENTS, Chart, Complex, ModuleRep
 from ghilb.linalg import rank_sparse
-from ghilb.toric import LatticePair
 
 
 def hom_dim_dense(G: AbelianGroup, source: GGraph, target: GGraph) -> int:
@@ -188,18 +190,33 @@ def character_scan(G: AbelianGroup):
     return fingerprints, [rep_of_fp[fp] for fp in fingerprints]
 
 
-def lattices_scan(G: AbelianGroup) -> LatticePair:
-    """M as the HNF of R*Z^3 and every invariant exponent in [0, R)^3; N = M*."""
-    R = G.R
-    rows = [[R, 0, 0], [0, R, 0], [0, 0, R]]
-    for e in product(range(R), repeat=3):
-        if not any(fingerprint(G, e)):
-            rows.append(list(e))
-    m_basis = linalg.hnf(rows)
-    return LatticePair(
-        n_basis=tuple(tuple(row) for row in toric.inverse_transpose(m_basis)),
-        m_basis=tuple(tuple(row) for row in m_basis),
-        group_order=G.order,
+def in_m(G: AbelianGroup, e) -> bool:
+    """True iff e lies in M, the invariant exponents: e.g = 0 mod R for every element g."""
+    return all(sum(a * b for a, b in zip(e, g)) % G.R == 0 for g in G.elements)
+
+
+def in_n(G: AbelianGroup, v) -> bool:
+    """True iff v lies in N = Z^3 + sum Z*g/R: R*v is integral and is a group element mod R."""
+    scaled = [Fraction(x) * G.R for x in v]
+    if any(x.denominator != 1 for x in scaled):
+        return False
+    return tuple(int(x) % G.R for x in scaled) in G.elements
+
+
+def primitive_in_n(G: AbelianGroup, v) -> bool:
+    """True iff v lies in N and no v/k does for k >= 2.
+
+    v/k in N needs R*v/k integral, so only the divisors k of the content of
+    R*v are tried; for a ray, with coordinates in [0, 1] not all zero, they
+    are at most R.
+    """
+    if not in_n(G, v):
+        return False
+    content = gcd(*(int(Fraction(x) * G.R) for x in v))
+    return not any(
+        in_n(G, tuple(Fraction(x) / k for x in v))
+        for k in range(2, content + 1)
+        if content % k == 0
     )
 
 

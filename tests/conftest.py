@@ -33,10 +33,6 @@ def get_layers(spec: str):
     return toric.layers(get_group(spec), get_fixed_points(spec))
 
 
-def get_lattices(spec: str):
-    return get_layers(spec).lattices
-
-
 def get_cones(spec: str):
     layers = get_layers(spec)
     if layers.cone_errors:

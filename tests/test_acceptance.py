@@ -8,10 +8,10 @@ All checks are exact; the only tolerances are the stated runtime budgets.
 
 import time
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
-from _oracles import hom_dim_dense, hook_staircases
-from conftest import SUITE_3D, get_charts, get_cones, get_fixed_points, get_group, get_lattices
+from _oracles import hom_dim_dense, hook_staircases, primitive_in_n
+from conftest import SUITE_3D, get_charts, get_cones, get_fixed_points, get_group
 from ghilb import ggraph, linalg, toric
 from ghilb.groups import AbelianGroup, GroupSpec
 from ghilb.homcalc import hom_dim, hom_matrix
@@ -110,18 +110,15 @@ def test_criterion_4_koszul_homology():
 def test_criterion_5_smooth_crepant_fan():
     for spec, order in SUITE_3D:
         G = get_group(spec)
-        pair = get_lattices(spec)
         cones = get_cones(spec)
         for cone in cones:
             det = linalg.det3([list(v) for v in cone.dual_gens])
             assert abs(det) == order
             for ray in cone.rays:
-                coords = pair.n_coordinates(ray)
-                assert coords is not None
-                assert gcd(*coords) == 1
+                assert primitive_in_n(G, ray)
                 assert all(x >= 0 for x in ray)
                 assert sum(ray) == 1
-        fan = toric.build_fan(G, pair, cones)  # raises on ray-set/facet failure
+        fan = toric.build_fan(G, cones)  # raises on ray-set/facet failure
         juniors = {tuple(Fraction(c, G.R) for c in g) for g in G.junior_elements()}
         one, zero = Fraction(1), Fraction(0)
         coordinate = {(one, zero, zero), (zero, one, zero), (zero, zero, one)}

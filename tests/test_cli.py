@@ -166,10 +166,10 @@ def test_bad_spec_exits_two(capsys):
 def test_internal_fault_exits_three(capsys, monkeypatch):
     from ghilb import toric
 
-    def singular(G):
+    def singular(G, gg, owner):
         raise ValueError("matrix is singular")
 
-    monkeypatch.setattr(toric, "lattices", singular)
+    monkeypatch.setattr(toric, "chart_cone", singular)
     with pytest.raises(ValueError, match="matrix is singular"):
         main(["fan", "--group", "3:1,1,1"])
     assert capsys.readouterr().out == ""
@@ -187,7 +187,7 @@ def test_internal_fault_names_its_layer(capsys, monkeypatch):
     # package; the innermost frame in the package is chart_cone itself
     from ghilb import toric
 
-    def broken(pair, dual_gens):
+    def broken(dual_gens):
         raise ZeroDivisionError("planted")
 
     monkeypatch.setattr(toric, "dual_rays", broken)
@@ -234,6 +234,8 @@ def test_negative_pair_cap_exits_two(capsys):
         (["fixed-points", "--group", "19:1,7,11"], "fixed-points_19-1-7-11.json"),
         (["fan", "--group", "13:1,3,9"], "fan_13-1-3-9.json"),
         (["fan", "--group", "3:1,2,0;3:0,1,2"], "fan_3-1-2-0_3-0-1-2.json"),
+        (["fan", "--group", "37:1,10,26"], "fan_37-1-10-26.json"),
+        (["fan", "--group", "6:1,5,0;6:0,1,5"], "fan_6-1-5-0_6-0-1-5.json"),
     ],
 )
 def test_fixed_points_and_fan_json_match_golden(capsys, argv, golden, tmp_path):
@@ -260,10 +262,10 @@ def _plant_chart_error(monkeypatch):
 
     real = toric.chart_cone
 
-    def planted(G, pair, gg, owner):
+    def planted(G, gg, owner):
         if owner == PLANTED_AT:
             raise toric.ChartError(f"planted fault at fixed point {owner}")
-        return real(G, pair, gg, owner=owner)
+        return real(G, gg, owner=owner)
 
     monkeypatch.setattr(toric, "chart_cone", planted)
 
@@ -271,7 +273,7 @@ def _plant_chart_error(monkeypatch):
 def _plant_fan_error(monkeypatch):
     from ghilb import toric
 
-    def planted(G, pair, cones):
+    def planted(G, cones):
         raise toric.FanError("planted fan fault", details={"facets": {"r1|r2": {"cones": [0]}}})
 
     monkeypatch.setattr(toric, "build_fan", planted)

@@ -1,19 +1,21 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from _oracles import lattices_scan
-from conftest import SUITE_3D, get_cones, get_fixed_points, get_group, get_lattices
-from ghilb import linalg
+from _oracles import in_m, in_n, mat_mul, primitive_in_n
+from conftest import SUITE_3D, get_cones, get_fixed_points, get_group
+from ghilb import linalg, toric
 from ghilb.toric import (
     ChartError,
     FanError,
     build_fan,
     chart_cone,
     chart_dual_generators,
-    check_smooth,
     dual_rays,
-    lattices,
+    inverse_transpose,
 )
 
 E1 = (Fraction(1), Fraction(0), Fraction(0))
@@ -22,36 +24,40 @@ E3 = (Fraction(0), Fraction(0), Fraction(1))
 
 
 def test_lattice_indices_order_three():
-    pair = get_lattices("3:1,1,1")
-    assert abs(linalg.det3(pair.m_basis)) == 3
-    # M is the sum-divisible-by-three lattice
-    assert pair.in_m((1, 1, 1))
-    assert pair.in_m((3, 0, 0))
-    assert not pair.in_m((1, 0, 0))
+    # M is the sum-divisible-by-three lattice, of index 3; the character
+    # table decides membership, and agrees with the definition
+    G = get_group("3:1,1,1")
+    for e in ((1, 1, 1), (3, 0, 0), (2, -2, 3)):
+        assert G.char_index(e) == 0 and in_m(G, e)
+    for e in ((1, 0, 0), (2, -2, 1)):
+        assert G.char_index(e) != 0 and not in_m(G, e)
+    assert sum(in_m(G, e) for e in product(range(3), repeat=3)) == 27 // 3
 
 
 def test_n_contains_half_weight_vector():
-    pair = get_lattices("2:1,1,0")
-    coords = pair.n_coordinates((Fraction(1, 2), Fraction(1, 2), Fraction(0)))
-    assert coords is not None
-    assert pair.n_coordinates((Fraction(1, 2), Fraction(0), Fraction(0))) is None
+    G = get_group("2:1,1,0")
+    assert in_n(G, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+    assert not in_n(G, (Fraction(1, 2), Fraction(0), Fraction(0)))
+    assert not in_n(G, (Fraction(1, 4), Fraction(1, 4), Fraction(0)))
+    assert primitive_in_n(G, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+    assert not primitive_in_n(G, (Fraction(1), Fraction(1), Fraction(0)))
 
 
 @pytest.mark.parametrize("spec,order", SUITE_3D)
 def test_lattice_duality_and_indices(spec, order):
+    # [Z^3 : M] = [N : Z^3] = |G| by their definitions, and each chart's
+    # exponents and rays are dual bases
     G = get_group(spec)
-    pair = get_lattices(spec)
-    assert abs(linalg.det3(pair.m_basis)) == order
-    assert abs(linalg.det3(pair.n_basis)) == Fraction(1, order)
-    for n_row in pair.n_basis:
-        for m_row in pair.m_basis:
-            value = sum(Fraction(a) * b for a, b in zip(n_row, m_row))
-            assert value.denominator == 1
-    # every group weight vector over R lies in N, and every unit vector too
-    for g in G.elements:
-        assert pair.n_coordinates(tuple(Fraction(c, G.R) for c in g)) is not None
-    for e in (E1, E2, E3):
-        assert pair.n_coordinates(e) is not None
+    box = list(product(range(G.R), repeat=3))
+    assert len(box) == sum(in_m(G, e) for e in box) * order
+    assert sum(in_n(G, tuple(Fraction(c, G.R) for c in e)) for e in box) == order
+    for v in (E1, E2, E3):
+        assert primitive_in_n(G, v)
+    for cone in get_cones(spec):
+        assert all(in_m(G, v) for v in cone.dual_gens)
+        for i, ray in enumerate(cone.rays):
+            pairing = [sum(a * b for a, b in zip(ray, v)) for v in cone.dual_gens]
+            assert pairing == [int(i == j) for j in range(3)]
 
 
 def test_chart_dual_generators_frozen_axis_chart():
@@ -62,54 +68,121 @@ def test_chart_dual_generators_frozen_axis_chart():
 
 def test_chart_cone_rays_frozen_axis_chart():
     G = get_group("3:1,1,1")
-    pair = get_lattices("3:1,1,1")
     fps = get_fixed_points("3:1,1,1")
     axis = next(gg for gg in fps if gg.gamma == ((0, 0, 0), (1, 0, 0), (2, 0, 0)))
-    cone = chart_cone(G, pair, axis, owner=0)
+    cone = chart_cone(G, axis, owner=0)
     third = Fraction(1, 3)
     assert set(cone.rays) == {(third, third, third), E2, E3}
 
 
 @pytest.mark.parametrize("spec,order", SUITE_3D)
 def test_all_charts_smooth_and_crepant(spec, order):
-    pair = get_lattices(spec)
+    G = get_group(spec)
     for cone in get_cones(spec):
-        assert check_smooth(pair, cone.dual_gens)
+        assert all(G.char_index(v) == 0 for v in cone.dual_gens)
         assert abs(linalg.det3(cone.dual_gens)) == order
         for ray in cone.rays:
             assert sum(ray) == 1
             assert all(x >= 0 for x in ray)
-            coords = pair.n_coordinates(ray)
-            assert coords is not None
+            assert primitive_in_n(G, ray)
         for ray, gen in zip(cone.rays, cone.dual_gens):
             assert sum(Fraction(a) * b for a, b in zip(ray, gen)) == 1
 
 
-def test_corrupted_cone_fails_smoothness():
-    pair = get_lattices("3:1,1,1")
+def _plant_generators(monkeypatch, gens):
+    monkeypatch.setattr(toric, "chart_dual_generators", lambda gg: gens)
+
+
+def test_corrupted_cone_fails_smoothness(monkeypatch):
+    G = get_group("3:1,1,1")
     cone = get_cones("3:1,1,1")[0]
     v = cone.dual_gens[1]
-    corrupted = (cone.dual_gens[0], (v[0], v[1] + 1, v[2]), cone.dual_gens[2])
-    assert not check_smooth(pair, corrupted)
+    # y^3 is invariant, so the exponents stay invariant but stop spanning M
+    corrupted = (cone.dual_gens[0], (v[0], v[1] + 3, v[2]), cone.dual_gens[2])
+    assert all(G.char_index(v) == 0 for v in corrupted)
+    assert abs(linalg.det3(corrupted)) != G.order
+    _plant_generators(monkeypatch, corrupted)
+    with pytest.raises(ChartError, match=r"\|det\|"):
+        chart_cone(G, get_fixed_points("3:1,1,1")[0], owner=0)
+
+
+# SL3(Z) is generated by the elementary matrices I + c*E_ij, i != j
+ELEMENTARY = st.tuples(
+    st.integers(0, 2), st.integers(1, 2), st.integers(-3, 3).filter(bool)
+).map(lambda t: (t[0], (t[0] + t[1]) % 3, t[2]))
+
+
+def _unimodular(ops) -> list[list[int]]:
+    """The product of the elementary matrices I + c*E_ij, as row operations on I."""
+    u = [[int(i == j) for j in range(3)] for i in range(3)]
+    for i, j, c in ops:
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+@given(ops=st.lists(ELEMENTARY, min_size=1, max_size=6))
+def test_invariant_basis_of_index_order_has_primitive_dual_in_n(ops):
+    # the implication chart_cone rests on: three invariant exponents with
+    # |det| = |G| are a basis of M, so the dual basis is one of N.  Any basis
+    # U * dual_gens of the same M, U in SL3(Z), must pass both tests and
+    # have every dual vector primitive in N.
+    u = _unimodular(ops)
+    assert linalg.det3(u) == 1
+    for spec, order in SUITE_3D:
+        G = get_group(spec)
+        for cone in get_cones(spec):
+            basis = [tuple(int(x) for x in row) for row in mat_mul(u, cone.dual_gens)]
+            assert all(G.char_index(v) == 0 for v in basis)
+            assert abs(linalg.det3(basis)) == order
+            for row in inverse_transpose(basis):
+                assert primitive_in_n(G, row), (spec, cone.owner, basis, row)
+
+
+@pytest.mark.parametrize("spec,order", SUITE_3D)
+def test_doubled_generator_fails_det_and_leaves_n(spec, order, monkeypatch):
+    # 2*v3 is still invariant, but spans a sublattice of index 2|G|: chart_cone
+    # refuses it by |det|, and its third dual vector r3/2 lies outside N
+    G = get_group(spec)
+    gg = get_fixed_points(spec)[0]
+    for cone in get_cones(spec):
+        v1, v2, v3 = cone.dual_gens
+        doubled = (v1, v2, tuple(2 * x for x in v3))
+        assert all(G.char_index(v) == 0 for v in doubled)
+        rows = inverse_transpose(doubled)
+        assert [in_n(G, row) for row in rows] == [True, True, False]
+        _plant_generators(monkeypatch, doubled)
+        with pytest.raises(ChartError, match=rf"\|det\| = {2 * order}, expected {order}"):
+            chart_cone(G, gg, owner=cone.owner)
+
+
+@pytest.mark.parametrize("spec,order", SUITE_3D)
+def test_noninvariant_triple_fails_invariance(spec, order, monkeypatch):
+    G = get_group(spec)
+    gg = get_fixed_points(spec)[0]
+    axis = next(e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if G.char_index(e) != 0)
+    for cone in get_cones(spec):
+        v1, v2, v3 = cone.dual_gens
+        shifted = (tuple(a + b for a, b in zip(v1, axis)), v2, v3)
+        _plant_generators(monkeypatch, shifted)
+        with pytest.raises(ChartError, match="is not invariant"):
+            chart_cone(G, gg, owner=cone.owner)
 
 
 def test_dual_rays_crepancy_alarm():
-    pair = get_lattices("2:1,1,0")
-    with pytest.raises(ChartError):
-        dual_rays(pair, ((1, 0, 0), (0, 1, 0), (0, 0, 2)))
+    with pytest.raises(ChartError, match="coordinate sum 1/2, not 1"):
+        dual_rays(((1, 0, 0), (0, 1, 0), (0, 0, 2)))
 
 
 def test_noninvariant_exponent_rejected():
     G = get_group("2:1,1,0")
-    pair = get_lattices("2:1,1,0")
     gg = get_fixed_points("3:1,1,1")[0]  # staircase of the wrong group
-    with pytest.raises(ChartError):
-        chart_cone(G, pair, gg, owner=0)
+    with pytest.raises(ChartError, match="is not invariant"):
+        chart_cone(G, gg, owner=0)
 
 
 def test_fan_order_three_frozen():
     G = get_group("3:1,1,1")
-    fan = build_fan(G, get_lattices("3:1,1,1"), get_cones("3:1,1,1"))
+    fan = build_fan(G, get_cones("3:1,1,1"))
     third = Fraction(1, 3)
     assert len(fan.cones) == 3
     assert set(fan.rays) == {E1, E2, E3, (third, third, third)}
@@ -118,14 +191,14 @@ def test_fan_order_three_frozen():
 
 def test_fan_involution_junior_ray():
     G = get_group("2:1,1,0")
-    fan = build_fan(G, get_lattices("2:1,1,0"), get_cones("2:1,1,0"))
+    fan = build_fan(G, get_cones("2:1,1,0"))
     half = Fraction(1, 2)
     assert set(fan.rays) == {E1, E2, E3, (half, half, Fraction(0))}
 
 
 def test_fan_seven_ray_set():
     G = get_group("7:1,2,4")
-    fan = build_fan(G, get_lattices("7:1,2,4"), get_cones("7:1,2,4"))
+    fan = build_fan(G, get_cones("7:1,2,4"))
     sevenths = lambda *nums: tuple(Fraction(n, 7) for n in nums)
     assert set(fan.rays) == {
         E1,
@@ -140,7 +213,7 @@ def test_fan_seven_ray_set():
 @pytest.mark.parametrize("spec,order", SUITE_3D)
 def test_fan_consistency(spec, order):
     G = get_group(spec)
-    fan = build_fan(G, get_lattices(spec), get_cones(spec))
+    fan = build_fan(G, get_cones(spec))
     assert len(fan.cones) == order
     expected = {E1, E2, E3} | set(fan.junior)
     assert set(fan.rays) == expected
@@ -159,19 +232,14 @@ def test_dropped_cone_breaks_facet_pairing():
     G = get_group("3:1,1,1")
     cones = get_cones("3:1,1,1")
     with pytest.raises(FanError):
-        build_fan(G, get_lattices("3:1,1,1"), cones[:-1])
+        build_fan(G, cones[:-1])
 
 
 def test_fan_json_shape():
     G = get_group("2:1,1,0")
-    fan = build_fan(G, get_lattices("2:1,1,0"), get_cones("2:1,1,0"))
+    fan = build_fan(G, get_cones("2:1,1,0"))
     payload = fan.to_json()
     assert set(payload) == {"rays", "cones", "junior_elements"}
     assert ["1/2", "1/2", "0"] in payload["rays"]
     assert all(len(cone) == 3 for cone in payload["cones"])
 
-
-def test_lattices_standalone_construction():
-    for spec in [spec for spec, _ in SUITE_3D] + ["6:1,5,0;6:0,1,5"]:
-        G = get_group(spec)
-        assert lattices(G) == lattices_scan(G)
