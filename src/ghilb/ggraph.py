@@ -232,10 +232,11 @@ def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
     c = (|G| - K - q*e) / p for the e >= 1 with q*e + p <= |G| - K for which
     the division is exact.  Walking e over that range visits every candidate
     of the parameter box that satisfies the identity, so the search is
-    exhaustive.  Each solution must still pass the ranges of beta and gamma,
-    the two remaining character matches and the identity itself; candidates
-    are deduplicated on the minimal generators of the resulting ideal, whose
-    staircase is revalidated by is_ggraph.
+    exhaustive.  K + p*c + q*e is count_identity_value expanded, so each
+    solution satisfies the identity by construction; it must still pass the
+    ranges of beta and gamma and the two remaining character matches.
+    Candidates are deduplicated on the minimal generators of the resulting
+    ideal, whose staircase is revalidated by is_ggraph.
     """
     N = G.order
     ci = G.char_index
@@ -274,8 +275,6 @@ def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
                         if ci((d - 1, 0, c - 1)) != cy[beta]:
                             continue
                         params = (a, b, c, d, e, f)
-                        if count_identity_value(kind, params) != N:
-                            continue
                         ideal = MonomialIdeal.from_generators(
                             seven_generators(kind, params)
                         )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 Triple = tuple[int, int, int]
@@ -167,11 +166,11 @@ class AbelianGroup:
 
     # -- ages and junior elements --------------------------------------------
 
-    def age(self, g: Triple) -> Fraction:
-        """(g1+g2+g3)/R as an exact rational; 0 for the identity, else 1 or 2."""
+    def age(self, g: Triple) -> int:
+        """(g1+g2+g3)/R, exact on an element: 0 for the identity, else 1 or 2."""
         if tuple(g) not in self._element_set:
             raise ValueError(f"{g} is not an element of the group")
-        return Fraction(sum(g), self.R)
+        return sum(g) // self.R
 
     def junior_elements(self) -> tuple[Triple, ...]:
         return tuple(g for g in self.elements if self.age(g) == 1)

@@ -130,13 +130,13 @@ class ModuleRep:
 def chart(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> Chart:
     """The table of the chart of gg, read off its cone as the module docstring says.
 
-    Rays lie in N, inside (1/R) Z^3, so the pairings are taken with the
-    integer vectors R * ray: x_alpha * m - m' pairs with R * ray_i to the
+    The cone holds each ray as the integer vector R * ray, so the pairings
+    are taken with it as it is: x_alpha * m - m' pairs with R * ray_i to the
     height of m plus R * ray_i[alpha] minus the height of m'.  Raises
     ChartError when the cone is not the chart of this staircase.
     """
     R = G.R
-    rays = [[int(R * x) for x in ray] for ray in cone.rays]
+    rays = cone.rays
     line_of = gg.char_to_gamma()
     monomials = [gg.gamma[line_of[c]] for c in range(G.order)]
     heights = [[sum(p * r for p, r in zip(m, ray)) for ray in rays] for m in monomials]

@@ -1,40 +1,37 @@
 """Exact linear algebra: one sparse elimination kernel, two-term bases and 3x3 closed forms.
 
 ``rank_sparse`` is the package's only elimination.  It takes rows as dicts
-column -> value holding ints or Fractions, scales each row to a primitive
-integer row (which does not change the rank) and eliminates with integer
-row operations, so no quotient is ever formed.  ``two_term_basis`` needs no
-elimination: on rows with at most two nonzeros it finds a row basis by
-union-find over the columns, keeping exact ratios.  It cancels the d3 and d1
-cells of the Koszul complexes and ranks the Hom syzygy rows x_g - x_h and
-x_g of ``homcalc``.  ``det3`` and ``adjugate3`` are the closed-form 3x3
-determinant and adjugate of the chart exponent matrices.  Everything here is
-exact; no floating point is used anywhere in the package.
+column -> nonzero int, divides each row by its content (which does not
+change the rank) and eliminates with integer row operations, so no quotient
+is ever formed.  ``two_term_basis`` needs no elimination: on rows with at
+most two nonzeros it finds a row basis by union-find over the columns,
+keeping exact ratios.  It cancels the d3 and d1 cells of the Koszul
+complexes and ranks the Hom syzygy rows x_g - x_h and x_g of ``homcalc``.
+``det3`` and ``adjugate3`` are the closed-form 3x3 determinant and adjugate
+of the chart exponent matrices.  Everything here is exact; no floating
+point is used anywhere in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
-def rank_sparse(rows: list[dict[int, object]], ncols: int) -> int:
-    """Rank over Q of a sparse matrix given as dicts column -> int or Fraction.
+def rank_sparse(rows: list[dict[int, int]], ncols: int) -> int:
+    """Rank over Q of a sparse matrix given as dicts column -> nonzero int.
 
     Rows are reduced one at a time against the pivot rows found so far, each
-    keyed by its leading (smallest) column; empty rows are skipped and a
-    one-entry row is scaled to 1 outright.  Only rows that share a column
+    keyed by its leading (smallest) column, after dividing it by its
+    content; empty rows are skipped.  Only rows that share a column
     are ever combined, so the elimination never fills across blocks of a
     block-diagonal matrix.  ncols bounds the column indices and is not
     otherwise needed.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        if len(row) > 1:
+        if row:
             row = _primitive(row)
-        elif row:
-            ((col, value),) = row.items()
-            row = {col: 1} if value else {}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -115,22 +112,14 @@ def _quotient(a, b):
     return Fraction(a, b)
 
 
-def _primitive(row: dict) -> dict[int, int]:
-    """The row scaled to coprime integers, with its zero entries dropped.
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """A row of nonzero ints divided by its content.
 
-    A row of nonzero ints with content 1, every row of the Koszul complexes
-    at fixed points among them, is returned as it is, not copied.
+    A row with content 1, every row of the Koszul complexes at fixed points
+    among them, is returned as it is, not copied.
     """
-    values = row.values()
-    if all(type(v) is int and v for v in values):
-        content = gcd(*values)
-        return row if content == 1 else {c: v // content for c, v in row.items()}
-    denom = lcm(*(v.denominator for v in row.values()))
-    row = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
     content = gcd(*row.values())
-    if content > 1:
-        row = {c: v // content for c, v in row.items()}
-    return row
+    return row if content == 1 else {c: v // content for c, v in row.items()}
 
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int], lead: int) -> dict[int, int]:
@@ -155,7 +144,7 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], lead: int) -> dict[in
 
 
 def rank_dense(mat) -> int:
-    """Rank of a dense list-of-rows matrix, through rank_sparse."""
+    """Rank of a dense list-of-rows matrix of ints, through rank_sparse."""
     if not mat:
         return 0
     return rank_sparse([{j: x for j, x in enumerate(row) if x} for row in mat], len(mat[0]))

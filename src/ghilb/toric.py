@@ -1,14 +1,16 @@
 """Toric data of the resolution: chart cones and fan consistency.
 
 M is the lattice of invariant Laurent exponents, the kernel of the character
-map on Z^3, of index |G|; N = Z^3 + sum Z*g/R is its dual.  Each fixed point
-carries an affine chart whose coordinates lambda, mu, nu are invariant
-Laurent monomials; the rows of the inverse transpose of their exponent
-matrix are the rays of the chart cone.  Three invariant exponents with
-|det| = |G| are a basis of M, so their dual rays are a basis of N: that is
-smoothness, and crepancy is every ray sitting at lattice height one
-(nonnegative coordinates summing to one).  ``layers`` runs the chain from
-the chart cones to the glued fan, recording where it fails.
+map on Z^3, of index |G|; N = Z^3 + sum Z*g/R is its dual.  Every vector v of
+N is held as the integer vector R*v: the coordinate rays as R*e_i and the
+junior rays g/R as the group elements g themselves; only where a vector is
+written as text is R*v divided back by R.  Each fixed point carries an affine
+chart whose coordinates lambda, mu, nu are invariant Laurent monomials; the
+basis dual to their exponents spans the chart cone.  Three invariant
+exponents with |det| = |G| are a basis of M, so their dual rays are a basis
+of N: that is smoothness, and crepancy is every ray sitting at lattice
+height one (nonnegative coordinates of R*ray summing to R).  ``layers`` runs
+the chain from the chart cones to the glued fan, recording where it fails.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .ggraph import GGraph
 from .groups import AbelianGroup
 
 Vector = tuple[int, int, int]
-RayVec = tuple[Fraction, Fraction, Fraction]
 
 
 class ChartError(RuntimeError):
@@ -39,39 +40,32 @@ class FanError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChartCone:
-    """One affine chart of the resolution, as dual generators plus rays."""
+    """One affine chart of the resolution, as dual generators plus rays R*ray."""
 
     owner: int
     dual_gens: tuple[Vector, Vector, Vector]
-    rays: tuple[RayVec, RayVec, RayVec]
+    rays: tuple[Vector, Vector, Vector]
+
+
+def _over(ray: Vector, R: int) -> tuple[Fraction, ...]:
+    """The ray held as R*ray written out as the vector it stands for, c/R."""
+    return tuple(Fraction(c, R) for c in ray)
 
 
 @dataclass(frozen=True)
 class Fan:
+    R: int
     cones: tuple[ChartCone, ...]
-    rays: tuple[RayVec, ...]
-    junior: tuple[RayVec, ...]
+    rays: tuple[Vector, ...]
+    junior: tuple[Vector, ...]
 
     def to_json(self) -> dict:
         ray_index = {r: i for i, r in enumerate(self.rays)}
         return {
-            "rays": [[str(c) for c in ray] for ray in self.rays],
+            "rays": [[str(c) for c in _over(ray, self.R)] for ray in self.rays],
             "cones": [sorted(ray_index[r] for r in cone.rays) for cone in self.cones],
-            "junior_elements": [[str(c) for c in ray] for ray in self.junior],
+            "junior_elements": [[str(c) for c in _over(ray, self.R)] for ray in self.junior],
         }
-
-
-def inverse_transpose(mat) -> list[list[Fraction]]:
-    """(mat^-1)^T of a 3x3 integer matrix: its cofactors over its determinant.
-
-    Its rows form the basis dual to the rows of mat.  Raises ValueError on a
-    singular matrix.
-    """
-    det = linalg.det3(mat)
-    if det == 0:
-        raise ValueError("matrix is singular")
-    adj = linalg.adjugate3(mat)
-    return [[Fraction(adj[j][i], det) for j in range(3)] for i in range(3)]
 
 
 def chart_dual_generators(gg: GGraph) -> tuple[Vector, Vector, Vector]:
@@ -93,20 +87,25 @@ def chart_dual_generators(gg: GGraph) -> tuple[Vector, Vector, Vector]:
     return (v_l, v_m, v_n)
 
 
-def dual_rays(dual_gens) -> tuple[RayVec, RayVec, RayVec]:
-    """Rays of the chart cone: the basis dual to the chart exponents.
+def dual_rays(dual_gens, R: int) -> tuple[Vector, Vector, Vector]:
+    """Rays of the chart cone, as R*ray: the basis dual to the chart exponents.
 
-    When the exponents are invariant with |det| = |G|, they are a basis of M
-    and the rays a basis of N, so each ray is a primitive element of N.  Each
-    must have nonnegative coordinates summing to one; a violation is a
-    failure of crepancy and raised loudly.
+    That basis is adj(gens)^T / det, so R*ray_i is R * adj[.][i] / det.  When
+    the exponents are invariant with |det| = |G|, they are a basis of M and
+    the rays a basis of N, inside (1/R) Z^3, so det divides R*adj entrywise
+    and the division is exact.  Each R*ray must have nonnegative coordinates
+    summing to R; a violation is a failure of crepancy and raised loudly.
     """
-    rays = tuple(tuple(row) for row in inverse_transpose(dual_gens))
+    det = linalg.det3(dual_gens)
+    adj = linalg.adjugate3(dual_gens)
+    rays = tuple(tuple(R * adj[j][i] // det for j in range(3)) for i in range(3))
     for ray in rays:
         if any(x < 0 for x in ray):
-            raise ChartError(f"ray {ray} has a negative coordinate")
-        if sum(ray) != 1:
-            raise ChartError(f"ray {ray} has coordinate sum {sum(ray)}, not 1")
+            raise ChartError(f"ray {_over(ray, R)} has a negative coordinate")
+        if sum(ray) != R:
+            raise ChartError(
+                f"ray {_over(ray, R)} has coordinate sum {Fraction(sum(ray), R)}, not 1"
+            )
     return rays
 
 
@@ -123,7 +122,7 @@ def chart_cone(G: AbelianGroup, gg: GGraph, owner: int) -> ChartCone:
         raise ChartError(
             f"chart of fixed point {owner} has |det| = {abs(det)}, expected {G.order}"
         )
-    rays = dual_rays(gens)
+    rays = dual_rays(gens, G.R)
     return ChartCone(owner=owner, dual_gens=gens, rays=rays)
 
 
@@ -135,22 +134,16 @@ def build_fan(G: AbelianGroup, cones: list[ChartCone]) -> Fan:
     shared by exactly two cones (facets lying in a wall of the junior
     simplex, where both rays have a common zero coordinate, by exactly one).
     """
-    junior = tuple(
-        tuple(Fraction(c, G.R) for c in g) for g in G.junior_elements()
-    )
-    expected_rays = set(junior)
-    one = Fraction(1)
-    zero = Fraction(0)
-    expected_rays.update(
-        {(one, zero, zero), (zero, one, zero), (zero, zero, one)}
-    )
+    R = G.R
+    junior = G.junior_elements()
+    expected_rays = {(R, 0, 0), (0, R, 0), (0, 0, R), *junior}
     seen_rays = sorted({ray for cone in cones for ray in cone.rays})
     if set(seen_rays) != expected_rays:
         raise FanError(
             "fan ray set does not match the junior elements",
             details={
-                "missing": sorted(str(r) for r in expected_rays - set(seen_rays)),
-                "extra": sorted(str(r) for r in set(seen_rays) - expected_rays),
+                "missing": sorted(str(_over(r, R)) for r in expected_rays - set(seen_rays)),
+                "extra": sorted(str(_over(r, R)) for r in set(seen_rays) - expected_rays),
             },
         )
     if len(cones) != G.order:
@@ -158,7 +151,7 @@ def build_fan(G: AbelianGroup, cones: list[ChartCone]) -> Fan:
             f"fan has {len(cones)} maximal cones, expected {G.order}",
             details={"cones": len(cones), "expected": G.order},
         )
-    facet_owners: dict[tuple[RayVec, RayVec], list[int]] = {}
+    facet_owners: dict[tuple[Vector, Vector], list[int]] = {}
     for cone in cones:
         r1, r2, r3 = sorted(cone.rays)
         for pair_rays in ((r1, r2), (r1, r3), (r2, r3)):
@@ -168,14 +161,14 @@ def build_fan(G: AbelianGroup, cones: list[ChartCone]) -> Fan:
         boundary = any(r1[i] == 0 and r2[i] == 0 for i in range(3))
         expected = 1 if boundary else 2
         if len(owners) != expected:
-            bad[f"{r1}|{r2}"] = {
+            bad[f"{_over(r1, R)}|{_over(r2, R)}"] = {
                 "cones": owners,
                 "expected": expected,
                 "boundary": boundary,
             }
     if bad:
         raise FanError("facet pairing failed", details={"facets": bad})
-    return Fan(cones=tuple(cones), rays=tuple(seen_rays), junior=junior)
+    return Fan(R=R, cones=tuple(cones), rays=tuple(seen_rays), junior=junior)
 
 
 class Layers(NamedTuple):

@@ -13,10 +13,10 @@ enumerate_fixed_points_scan and character_scan: the direct scans over the
 six-parameter box and over [0, R)^3 that the enumeration and the character
 table replace.  in_m, in_n and primitive_in_n: membership in M (e.g = 0 mod R
 for every element g), and membership and primitivity in N = Z^3 + sum Z*g/R,
-straight from their definitions, against which the character table and the
-chart rays are checked with no basis of M or N built.  hook_staircases: the
-fixed points of the SL2 case in closed form, against which the enumeration
-on r:1,r-1,0 is checked.
+held as R*N like the package's rays, straight from their definitions, against
+which the character table and the chart rays are checked with no basis of M
+or N built.  hook_staircases: the fixed points of the SL2 case in closed
+form, against which the enumeration on r:1,r-1,0 is checked.
 
 rank_dense, kernel_dense, mat_mul and dense: dense Fraction Gaussian
 elimination and matrix products, against which the package's one sparse
@@ -33,9 +33,11 @@ monomial rewriting with the seven chart relations, on the staircase basis,
 against which the closed form of koszul.chart and koszul.build_rep is
 checked once reindexed by character.
 
-build_rep_fractions: the chart-point module with Fraction coefficients over
-denominator 1, against which koszul.build_rep's int numerators over one
-module denominator are checked.
+build_rep_fractions: the chart-point module with Fraction coefficients,
+put over their least common denominator, against which koszul.build_rep's
+int numerators over prod q_i^E_i are checked.  Every module handed to the
+package carries int numerators over one int denominator, the form
+build_rep gives, since its rank kernel takes only int rows.
 
 Every module below is read on character lines, line c spanned by the
 staircase monomial of character c, with its own McKay arrows (arrows), not
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from ghilb.ggraph import (
     GGraph,
@@ -195,26 +197,23 @@ def in_m(G: AbelianGroup, e) -> bool:
     return all(sum(a * b for a, b in zip(e, g)) % G.R == 0 for g in G.elements)
 
 
-def in_n(G: AbelianGroup, v) -> bool:
-    """True iff v lies in N = Z^3 + sum Z*g/R: R*v is integral and is a group element mod R."""
-    scaled = [Fraction(x) * G.R for x in v]
-    if any(x.denominator != 1 for x in scaled):
-        return False
-    return tuple(int(x) % G.R for x in scaled) in G.elements
+def in_n(G: AbelianGroup, w) -> bool:
+    """True iff the integer vector w lies in R*N, N = Z^3 + sum Z*g/R: w mod R is a group element."""
+    return tuple(x % G.R for x in w) in G.elements
 
 
-def primitive_in_n(G: AbelianGroup, v) -> bool:
-    """True iff v lies in N and no v/k does for k >= 2.
+def primitive_in_n(G: AbelianGroup, w) -> bool:
+    """True iff w lies in R*N and no w/k does for k >= 2.
 
-    v/k in N needs R*v/k integral, so only the divisors k of the content of
-    R*v are tried; for a ray, with coordinates in [0, 1] not all zero, they
+    w/k in R*N needs w/k integral, so only the divisors k of the content of
+    w are tried; for a ray, with coordinates in [0, R] not all zero, they
     are at most R.
     """
-    if not in_n(G, v):
+    if not in_n(G, w):
         return False
-    content = gcd(*(int(Fraction(x) * G.R) for x in v))
+    content = gcd(*w)
     return not any(
-        in_n(G, tuple(Fraction(x) / k for x in v))
+        in_n(G, tuple(x // k for x in w))
         for k in range(2, content + 1)
         if content % k == 0
     )
@@ -410,18 +409,28 @@ def rewrite_matrices(G: AbelianGroup, gg: GGraph, coords, cone) -> tuple:
 
 def build_rep_fractions(chart: Chart, coords: tuple) -> ModuleRep:
     """The module at the chart point with these coordinates, each coefficient
-    the product of Fraction powers of the coordinates (ints when integral)."""
-    powers = [[1] for _ in coords]
+    the product of Fraction powers of the coordinates, over their least
+    common denominator."""
+    powers = [[Fraction(1)] for _ in coords]
     values = []
     for key in chart.exponents:
-        coeff = 1
+        coeff = Fraction(1)
         for table, coord, power in zip(powers, coords, key):
             while len(table) <= power:
                 table.append(table[-1] * coord)
             coeff *= table[power]
-        values.append(coeff.numerator if coeff.denominator == 1 else coeff)
-    coeffs = tuple([values[s] for s in column] for column in chart.slots)
-    return ModuleRep(chart.group, coords, coeffs)
+        values.append(coeff)
+    return _over_common_denominator(
+        chart.group, coords, [[values[s] for s in column] for column in chart.slots]
+    )
+
+
+def _over_common_denominator(group, coords, values) -> ModuleRep:
+    """The module with these Fraction coefficients per arrow, as int
+    numerators over their least common denominator."""
+    den = lcm(*(x.denominator for cs in values for x in cs))
+    coeffs = tuple([x.numerator * (den // x.denominator) for x in cs] for cs in values)
+    return ModuleRep(group, coords, coeffs, den)
 
 
 def dense_matrices(rep: ModuleRep):
@@ -441,15 +450,15 @@ def dense_matrices(rep: ModuleRep):
 def module_from_dense(rep: ModuleRep, b) -> ModuleRep | None:
     """rep's group and point with dense matrices b on character lines, or
     None when some entry of b lies off its arrow (then b is not a module of
-    G).  Integral entries become ints over denominator 1."""
-    coeffs = []
+    G).  The entries become int numerators over their least common
+    denominator."""
+    values = []
     for mat, ts in zip(b, arrows(rep.group)):
         for r, row in enumerate(mat):
             if any(x and r != ts[c] for c, x in enumerate(row)):
                 return None
-        values = [Fraction(mat[t][c]) for c, t in enumerate(ts)]
-        coeffs.append([x.numerator if x.denominator == 1 else x for x in values])
-    return ModuleRep(rep.group, rep.coords, tuple(coeffs))
+        values.append([Fraction(mat[t][c]) for c, t in enumerate(ts)])
+    return _over_common_denominator(rep.group, rep.coords, values)
 
 
 def _walk(rep: ModuleRep, targets, word, line: int):

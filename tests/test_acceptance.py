@@ -7,7 +7,6 @@ All checks are exact; the only tolerances are the stated runtime budgets.
 """
 
 import time
-from fractions import Fraction
 from math import comb
 
 from _oracles import hom_dim_dense, hook_staircases, primitive_in_n
@@ -117,12 +116,13 @@ def test_criterion_5_smooth_crepant_fan():
             for ray in cone.rays:
                 assert primitive_in_n(G, ray)
                 assert all(x >= 0 for x in ray)
-                assert sum(ray) == 1
+                assert sum(ray) == G.R
         fan = toric.build_fan(G, cones)  # raises on ray-set/facet failure
-        juniors = {tuple(Fraction(c, G.R) for c in g) for g in G.junior_elements()}
-        one, zero = Fraction(1), Fraction(0)
-        coordinate = {(one, zero, zero), (zero, one, zero), (zero, zero, one)}
-        assert set(fan.rays) == coordinate | juniors
+        # rays are held as R*ray: the coordinate rays as R*e_i, the junior
+        # rays as the age-one group elements themselves
+        R = G.R
+        coordinate = {(R, 0, 0), (0, R, 0), (0, 0, R)}
+        assert set(fan.rays) == coordinate | set(G.junior_elements())
     report(5, True, "all charts smooth, all rays crepant, fans consistent")
 
 

@@ -187,7 +187,7 @@ def test_internal_fault_names_its_layer(capsys, monkeypatch):
     # package; the innermost frame in the package is chart_cone itself
     from ghilb import toric
 
-    def broken(dual_gens):
+    def broken(dual_gens, R):
         raise ZeroDivisionError("planted")
 
     monkeypatch.setattr(toric, "dual_rays", broken)
@@ -236,6 +236,8 @@ def test_negative_pair_cap_exits_two(capsys):
         (["fan", "--group", "3:1,2,0;3:0,1,2"], "fan_3-1-2-0_3-0-1-2.json"),
         (["fan", "--group", "37:1,10,26"], "fan_37-1-10-26.json"),
         (["fan", "--group", "6:1,5,0;6:0,1,5"], "fan_6-1-5-0_6-0-1-5.json"),
+        # a fan-large order: 16 junior rays, each written as c/R from R*ray
+        (["fan", "--group", "33:1,4,28"], "fan_33-1-4-28.json"),
     ],
 )
 def test_fixed_points_and_fan_json_match_golden(capsys, argv, golden, tmp_path):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _oracles import enumerate_fixed_points_scan, hook_staircases
 from conftest import SUITE_3D, get_fixed_points, get_group
@@ -94,6 +96,21 @@ def test_count_identity_formulas():
     assert count_identity_value("B", (1, 1, 1, 1, 1, 1)) == 4
     assert count_identity_value("A", (1, 1, 1, 2, 1, 1)) == 2
     assert count_identity_value("A", (2, 1, 1, 2, 1, 1)) == 3
+
+
+@given(
+    kind=st.sampled_from("AB"),
+    params=st.tuples(*[st.integers(min_value=1, max_value=60)] * 6),
+)
+def test_count_identity_is_the_solved_form(kind, params):
+    # enumerate_fixed_points solves |G| = K + p*c + q*e for c, so every
+    # solution satisfies the identity with no further check
+    a, b, c, d, e, f = params
+    t = 2 if kind == "A" else 1
+    p = a + b + d - t
+    q = a + d + f - t
+    K = t * t - t * (a + b + d + f) + a * b + b * f + d * f
+    assert K + p * c + q * e == count_identity_value(kind, params)
 
 
 @pytest.mark.parametrize("spec,order", SUITE_3D)

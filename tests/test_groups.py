@@ -1,4 +1,3 @@
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -125,7 +124,7 @@ def test_junior_elements_of_seven():
 def test_junior_of_involution():
     G = get_group("2:1,1,0")
     assert G.junior_elements() == ((1, 1, 0),)
-    assert G.age((1, 1, 0)) == Fraction(1)
+    assert G.age((1, 1, 0)) == 1
 
 
 @st.composite
@@ -157,7 +156,12 @@ def test_characters_match_fingerprints_and_full_scan(data):
 
 @pytest.mark.parametrize(
     "spec,golden",
-    [("3:1,2,0;3:0,1,2", "group_3-1-2-0_3-0-1-2.json"), ("13:1,3,9", "group_13-1-3-9.json")],
+    [
+        ("3:1,2,0;3:0,1,2", "group_3-1-2-0_3-0-1-2.json"),
+        ("13:1,3,9", "group_13-1-3-9.json"),
+        # ages 0, 1 and 2 all occur
+        ("6:1,5,0;6:0,1,5", "group_6-1-5-0_6-0-1-5.json"),
+    ],
 )
 def test_group_json_matches_golden(spec, golden, tmp_path):
     out = tmp_path / "group.json"

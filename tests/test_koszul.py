@@ -513,7 +513,8 @@ def test_int_modules_match_the_fraction_route(data):
     # modules at chart points with some coordinates zero, on int numerators
     # and through the Fraction oracle: the same matrices and the same
     # decisions; the pair complexes also mix the two routes, whose
-    # denominators differ whenever the int module's is not 1
+    # denominators differ whenever the coefficients' least common
+    # denominator is not prod q_i^E_i
     spec = data.draw(st.sampled_from(ROUTE_SPECS))
     G, charts = get_group(spec), get_charts(spec)
     pairs = []

@@ -11,14 +11,10 @@ from _oracles import rank_dense
 from conftest import get_charts, get_group
 from ghilb import linalg
 from ghilb.koszul import build_rep, koszul_differentials, sample_chart_points
-from ghilb.toric import inverse_transpose
 from ghilb.verify import seeded_rng
 
-ENTRY = st.one_of(
-    st.just(0),
-    st.integers(min_value=-4, max_value=4),
-    st.fractions(min_value=-3, max_value=3, max_denominator=6),
-)
+# rank_sparse takes rows of nonzero ints; _sparse drops the zeros
+ENTRY = st.integers(min_value=-4, max_value=4)
 INT3 = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3),
     min_size=3,
@@ -38,7 +34,7 @@ def sparse_matrices(draw):
     cell = st.one_of(st.just(0), st.just(0), st.just(0), ENTRY)
     mat = [[draw(cell) for _ in range(ncols)] for _ in range(nrows)]
     if nrows >= 2 and draw(st.booleans()):
-        # a dependent row with fractional weights, so that row scaling matters
+        # a dependent row with integer weights, so that content division matters
         s, t = draw(ENTRY), draw(ENTRY)
         mat.append([s * x + t * y for x, y in zip(mat[0], mat[1])])
     return mat, ncols
@@ -75,7 +71,7 @@ def test_rank_sparse_equals_dense_reference(case):
 
 
 def test_rank_sparse_keeps_the_input_rows():
-    rows = [{0: 2, 1: 4}, {0: 1, 1: 2}, {1: Fraction(1, 3)}]
+    rows = [{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 3}]
     snapshot = [dict(row) for row in rows]
     assert linalg.rank_sparse(rows, 2) == 2
     assert rows == snapshot
@@ -102,21 +98,11 @@ def test_det3_and_adjugate3(m):
     assert product == [[det * int(i == j) for j in range(3)] for i in range(3)]
 
 
-@given(m=INT3)
-def test_inverse_transpose_is_the_dual_basis(m):
-    if linalg.det3(m) == 0:
-        return
-    dual = inverse_transpose(m)
-    for i in range(3):
-        for j in range(3):
-            assert sum(Fraction(a) * b for a, b in zip(dual[i], m[j])) == int(i == j)
-
-
 def test_rows_are_scaled_to_primitive_integer_rows():
-    assert linalg._primitive({0: Fraction(2, 3), 1: 4, 2: 0}) == {0: 1, 1: 6}
+    assert linalg._primitive({0: 4, 1: 24}) == {0: 1, 1: 6}
     assert linalg._primitive({3: -6, 5: 9}) == {3: -2, 5: 3}
-    assert linalg._primitive({3: 4, 5: 0}) == {3: 1}
-    assert linalg._primitive({}) == {}
+    assert linalg._primitive({3: 4}) == {3: 1}
+    assert linalg._primitive({3: -4}) == {3: -1}
     # a primitive row of nonzero ints is not copied
     row = {0: 1, 2: -1, 4: 2}
     assert linalg._primitive(row) is row

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -15,12 +14,12 @@ from ghilb.toric import (
     chart_cone,
     chart_dual_generators,
     dual_rays,
-    inverse_transpose,
 )
 
-E1 = (Fraction(1), Fraction(0), Fraction(0))
-E2 = (Fraction(0), Fraction(1), Fraction(0))
-E3 = (Fraction(0), Fraction(0), Fraction(1))
+
+def axes(R):
+    """The coordinate rays e_1, e_2, e_3, held as R*e_i."""
+    return ((R, 0, 0), (0, R, 0), (0, 0, R))
 
 
 def test_lattice_indices_order_three():
@@ -35,12 +34,15 @@ def test_lattice_indices_order_three():
 
 
 def test_n_contains_half_weight_vector():
+    # R = 2: (1, 1, 0) is R*(1/2, 1/2, 0), and (2, 2, 0) is R*(1, 1, 0)
     G = get_group("2:1,1,0")
-    assert in_n(G, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
-    assert not in_n(G, (Fraction(1, 2), Fraction(0), Fraction(0)))
-    assert not in_n(G, (Fraction(1, 4), Fraction(1, 4), Fraction(0)))
-    assert primitive_in_n(G, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
-    assert not primitive_in_n(G, (Fraction(1), Fraction(1), Fraction(0)))
+    assert in_n(G, (1, 1, 0))
+    assert not in_n(G, (1, 0, 0))
+    assert not in_n(G, (1, 1, 1))
+    assert primitive_in_n(G, (1, 1, 0))
+    assert primitive_in_n(G, (2, 0, 0))
+    assert not primitive_in_n(G, (2, 2, 0))
+    assert not primitive_in_n(G, (3, 3, 0))
 
 
 @pytest.mark.parametrize("spec,order", SUITE_3D)
@@ -50,14 +52,14 @@ def test_lattice_duality_and_indices(spec, order):
     G = get_group(spec)
     box = list(product(range(G.R), repeat=3))
     assert len(box) == sum(in_m(G, e) for e in box) * order
-    assert sum(in_n(G, tuple(Fraction(c, G.R) for c in e)) for e in box) == order
-    for v in (E1, E2, E3):
+    assert sum(in_n(G, e) for e in box) == order
+    for v in axes(G.R):
         assert primitive_in_n(G, v)
     for cone in get_cones(spec):
         assert all(in_m(G, v) for v in cone.dual_gens)
         for i, ray in enumerate(cone.rays):
             pairing = [sum(a * b for a, b in zip(ray, v)) for v in cone.dual_gens]
-            assert pairing == [int(i == j) for j in range(3)]
+            assert pairing == [G.R * int(i == j) for j in range(3)]
 
 
 def test_chart_dual_generators_frozen_axis_chart():
@@ -71,8 +73,8 @@ def test_chart_cone_rays_frozen_axis_chart():
     fps = get_fixed_points("3:1,1,1")
     axis = next(gg for gg in fps if gg.gamma == ((0, 0, 0), (1, 0, 0), (2, 0, 0)))
     cone = chart_cone(G, axis, owner=0)
-    third = Fraction(1, 3)
-    assert set(cone.rays) == {(third, third, third), E2, E3}
+    _, e2, e3 = axes(3)
+    assert set(cone.rays) == {(1, 1, 1), e2, e3}
 
 
 @pytest.mark.parametrize("spec,order", SUITE_3D)
@@ -82,11 +84,11 @@ def test_all_charts_smooth_and_crepant(spec, order):
         assert all(G.char_index(v) == 0 for v in cone.dual_gens)
         assert abs(linalg.det3(cone.dual_gens)) == order
         for ray in cone.rays:
-            assert sum(ray) == 1
+            assert sum(ray) == G.R
             assert all(x >= 0 for x in ray)
             assert primitive_in_n(G, ray)
         for ray, gen in zip(cone.rays, cone.dual_gens):
-            assert sum(Fraction(a) * b for a, b in zip(ray, gen)) == 1
+            assert sum(a * b for a, b in zip(ray, gen)) == G.R
 
 
 def _plant_generators(monkeypatch, gens):
@@ -125,7 +127,9 @@ def test_invariant_basis_of_index_order_has_primitive_dual_in_n(ops):
     # the implication chart_cone rests on: three invariant exponents with
     # |det| = |G| are a basis of M, so the dual basis is one of N.  Any basis
     # U * dual_gens of the same M, U in SL3(Z), must pass both tests and
-    # have every dual vector primitive in N.
+    # have every dual vector primitive in N.  R times the dual basis is
+    # R*adj^T / det, so det divides R*adj entrywise: the exact division
+    # dual_rays rests on.
     u = _unimodular(ops)
     assert linalg.det3(u) == 1
     for spec, order in SUITE_3D:
@@ -133,9 +137,13 @@ def test_invariant_basis_of_index_order_has_primitive_dual_in_n(ops):
         for cone in get_cones(spec):
             basis = [tuple(int(x) for x in row) for row in mat_mul(u, cone.dual_gens)]
             assert all(G.char_index(v) == 0 for v in basis)
-            assert abs(linalg.det3(basis)) == order
-            for row in inverse_transpose(basis):
-                assert primitive_in_n(G, row), (spec, cone.owner, basis, row)
+            det = linalg.det3(basis)
+            assert abs(det) == order
+            adj = linalg.adjugate3(basis)
+            assert all(G.R * x % det == 0 for row in adj for x in row)
+            for i in range(3):
+                ray = tuple(G.R * adj[j][i] // det for j in range(3))
+                assert primitive_in_n(G, ray), (spec, cone.owner, basis, ray)
 
 
 @pytest.mark.parametrize("spec,order", SUITE_3D)
@@ -148,8 +156,14 @@ def test_doubled_generator_fails_det_and_leaves_n(spec, order, monkeypatch):
         v1, v2, v3 = cone.dual_gens
         doubled = (v1, v2, tuple(2 * x for x in v3))
         assert all(G.char_index(v) == 0 for v in doubled)
-        rows = inverse_transpose(doubled)
-        assert [in_n(G, row) for row in rows] == [True, True, False]
+        det, adj = linalg.det3(doubled), linalg.adjugate3(doubled)
+        # R times dual vector i is R*adj[.][i] / det, in N only if integral
+        in_n_flags = [
+            all(G.R * adj[j][i] % det == 0 for j in range(3))
+            and in_n(G, tuple(G.R * adj[j][i] // det for j in range(3)))
+            for i in range(3)
+        ]
+        assert in_n_flags == [True, True, False]
         _plant_generators(monkeypatch, doubled)
         with pytest.raises(ChartError, match=rf"\|det\| = {2 * order}, expected {order}"):
             chart_cone(G, gg, owner=cone.owner)
@@ -170,7 +184,7 @@ def test_noninvariant_triple_fails_invariance(spec, order, monkeypatch):
 
 def test_dual_rays_crepancy_alarm():
     with pytest.raises(ChartError, match="coordinate sum 1/2, not 1"):
-        dual_rays(((1, 0, 0), (0, 1, 0), (0, 0, 2)))
+        dual_rays(((1, 0, 0), (0, 1, 0), (0, 0, 2)), 2)
 
 
 def test_noninvariant_exponent_rejected():
@@ -183,31 +197,21 @@ def test_noninvariant_exponent_rejected():
 def test_fan_order_three_frozen():
     G = get_group("3:1,1,1")
     fan = build_fan(G, get_cones("3:1,1,1"))
-    third = Fraction(1, 3)
     assert len(fan.cones) == 3
-    assert set(fan.rays) == {E1, E2, E3, (third, third, third)}
-    assert fan.junior == ((third, third, third),)
+    assert set(fan.rays) == {*axes(3), (1, 1, 1)}
+    assert fan.junior == ((1, 1, 1),)
 
 
 def test_fan_involution_junior_ray():
     G = get_group("2:1,1,0")
     fan = build_fan(G, get_cones("2:1,1,0"))
-    half = Fraction(1, 2)
-    assert set(fan.rays) == {E1, E2, E3, (half, half, Fraction(0))}
+    assert set(fan.rays) == {*axes(2), (1, 1, 0)}
 
 
 def test_fan_seven_ray_set():
     G = get_group("7:1,2,4")
     fan = build_fan(G, get_cones("7:1,2,4"))
-    sevenths = lambda *nums: tuple(Fraction(n, 7) for n in nums)
-    assert set(fan.rays) == {
-        E1,
-        E2,
-        E3,
-        sevenths(1, 2, 4),
-        sevenths(2, 4, 1),
-        sevenths(4, 1, 2),
-    }
+    assert set(fan.rays) == {*axes(7), (1, 2, 4), (2, 4, 1), (4, 1, 2)}
 
 
 @pytest.mark.parametrize("spec,order", SUITE_3D)
@@ -215,8 +219,8 @@ def test_fan_consistency(spec, order):
     G = get_group(spec)
     fan = build_fan(G, get_cones(spec))
     assert len(fan.cones) == order
-    expected = {E1, E2, E3} | set(fan.junior)
-    assert set(fan.rays) == expected
+    assert fan.junior == G.junior_elements()
+    assert set(fan.rays) == {*axes(G.R), *fan.junior}
     # facet multiplicities, recounted here independently of build_fan
     counts: dict = {}
     for cone in fan.cones:
