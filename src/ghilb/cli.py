@@ -29,13 +29,15 @@ from .groups import AbelianGroup, GroupSpec, GroupSpecError
 
 @dataclass
 class RunConfig:
-    group_text: str
-    out_path: str | None
-    oracle_cap: int
-    samples: int
-    seed: int
-    max_pairs: int | None
-    dot_path: str | None
+    """The options of one run; a command that does not take an option reads its default."""
+
+    group: str
+    out: str | None = None
+    oracle_cap: int = 16
+    samples: int = 5
+    seed: int = 0
+    max_pairs: int | None = None
+    dot: str | None = None
 
     def __post_init__(self):
         if self.oracle_cap < 1:
@@ -47,7 +49,7 @@ class RunConfig:
 
 
 def _group(config: RunConfig) -> AbelianGroup:
-    return AbelianGroup(GroupSpec.parse(config.group_text))
+    return AbelianGroup(GroupSpec.parse(config.group))
 
 
 def cmd_group(config: RunConfig) -> tuple[int, dict]:
@@ -153,15 +155,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("fan", "chart cones and the glued fan with smooth/crepant flags"),
         ("verify", "run the full verification suite"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        # options left out stay unset, so RunConfig holds every default
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--group", required=True, help="generator spec r:w1,w2,w3[;...]")
-        p.add_argument("--out", default=None, help="write the JSON payload to this path")
-        p.add_argument("--oracle-cap", type=int, default=16)
-        p.add_argument("--samples", type=int, default=5)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-pairs", type=int, default=None)
+        p.add_argument("--out", help="write the JSON payload to this path")
+        p.add_argument("--seed", type=int)
+        if name in ("fixed-points", "verify"):
+            p.add_argument("--oracle-cap", type=int)
+        if name == "verify":
+            p.add_argument("--samples", type=int)
+            p.add_argument("--max-pairs", type=int)
         if name == "quiver":
-            p.add_argument("--dot", default=None, help="also write the DOT source here")
+            p.add_argument("--dot", help="also write the DOT source here")
     return parser
 
 
@@ -176,32 +181,25 @@ def _write(path: str, text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    command = options.pop("command")
     try:
-        config = RunConfig(
-            group_text=args.group,
-            out_path=args.out,
-            oracle_cap=args.oracle_cap,
-            samples=args.samples,
-            seed=args.seed,
-            max_pairs=args.max_pairs,
-            dot_path=getattr(args, "dot", None),
-        )
+        config = RunConfig(**options)
     except ValueError as exc:
         return _input_error(exc)
     try:
-        code, payload = COMMANDS[args.command](config)
+        code, payload = COMMANDS[command](config)
     except GroupSpecError as exc:
         return _input_error(exc)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     try:
-        if config.dot_path:
-            _write(config.dot_path, payload["dot"] + "\n")
-        if config.out_path:
-            _write(config.out_path, text)
+        if config.dot:
+            _write(config.dot, payload["dot"] + "\n")
+        if config.out:
+            _write(config.out, text)
     except OSError as exc:
         return _input_error(exc)
-    if not config.out_path:
+    if not config.out:
         sys.stdout.write(text)
     return code
 

@@ -405,15 +405,6 @@ def koszul_homology(
     return reduced_homology(cx)
 
 
-def pair_report(i: int, j: int, h, expected) -> dict:
-    return {
-        "pair": [i, j],
-        "h": list(h),
-        "expected": list(expected),
-        "pass": tuple(h) == tuple(expected),
-    }
-
-
 def sample_chart_points(count: int, rng: random.Random) -> list[tuple[Fraction, ...]]:
     """Coordinates of seeded chart points: nonzero rationals of small height."""
     return [

@@ -6,9 +6,19 @@ exact homology over all fixed-point pairs plus seeded chart samples.  The
 wedge complex of each fixed-point module must have the Betti table of the
 enumerated ideal as its homology (fixed_point_betti).  Each chart sample is
 checked for the ADHM-style relations and, through koszul.support_check,
-support on one free orbit (the per-fixed-point "support" count); a pair of
-samples from one chart must have an exact pair complex (same_chart_h).
-The oracle, Betti, pair and sample checks carry "checked"/"total" counts.
+support on one free orbit; samples 0 and 1 of one chart must have an exact
+pair complex.
+
+The six checks over many objects (count_identity, charts_smooth_crepant,
+hom_matrix, koszul_pairs, fixed_point_betti, chart_samples) share one
+details form, {"checked", "total", "failures"}: how many objects were
+checked out of how many, and one record per failing object only.  A
+record names its object (fixed_point k, pair [i, j], and for a chart
+sample also sample s, or [0, 1] for the pair of samples) with the value
+"found" and the value "expected", or for a chart with the "error" that
+rejected its cone or its table.  The oracle check also carries
+checked/total.
+
 Every check carries a "status" of ok, fail, skip or empty; a check that did
 no work is "empty" or "skip", never "ok", and "pass" still says only
 whether it failed.  The JSON report is the source of truth; the
@@ -90,48 +100,36 @@ def verification_report(
             }
         )
 
-    bad_counts = [k for k, gg in enumerate(fps) if not ggraph.verify_count_identity(gg)]
-    checks.append(
-        {
-            "name": "count_identity",
-            "pass": not bad_counts,
-            "details": {"failing_fixed_points": bad_counts},
-        }
-    )
+    failures: list[dict] = []
+    for k, gg in enumerate(fps):
+        _compare(failures, ggraph.verify_count_identity(gg), True, fixed_point=k)
+    checks.append(_per_object("count_identity", len(fps), len(fps), failures))
 
     layers = toric.layers(G, fps)
-    checks.append(
-        {
-            "name": "charts_smooth_crepant",
-            "pass": not layers.cone_errors,
-            "details": {
-                "errors": [{"fixed_point": k, "error": e} for k, e in layers.cone_errors.items()],
-                "cones": len(layers.cones),
-            },
-        }
-    )
+    errors = dict(layers.cone_errors)
+    charts = {}
+    for cone in layers.cones:
+        try:
+            charts[cone.owner] = koszul.chart(G, fps[cone.owner], cone)
+        except toric.ChartError as exc:
+            errors[cone.owner] = str(exc)
+    failures = [{"fixed_point": k, "error": errors[k]} for k in sorted(errors)]
+    checks.append(_per_object("charts_smooth_crepant", len(fps), len(fps), failures))
 
-    fan_json = None if layers.fan is None else layers.fan.to_json()
     if layers.cone_errors:
-        fan_details = {"error": "charts failed; fan not assembled"}
-    elif layers.fan_error is not None:
-        fan_details = {"error": str(layers.fan_error), **layers.fan_error.details}
+        checks.append(_charts_failed("fan", "fan not assembled"))
     else:
-        fan_details = fan_json
-    checks.append({"name": "fan", "pass": fan_json is not None, "details": fan_details})
+        error = layers.fan_error
+        details = {} if error is None else {"error": str(error), **error.details}
+        checks.append({"name": "fan", "pass": error is None, "details": details})
 
     hom = homcalc.hom_matrix(G, fps)
-    hom_expected = [
-        [HOM_DIAGONAL if i == j else HOM_OFF_DIAGONAL for j in range(len(fps))]
-        for i in range(len(fps))
-    ]
-    checks.append(
-        {
-            "name": "hom_matrix",
-            "pass": hom == hom_expected,
-            "details": {"matrix": hom},
-        }
-    )
+    failures = []
+    for i, row in enumerate(hom):
+        for j, dim in enumerate(row):
+            expected = HOM_DIAGONAL if i == j else HOM_OFF_DIAGONAL
+            _compare(failures, dim, expected, pair=[i, j])
+    checks.append(_per_object("hom_matrix", len(fps) ** 2, len(fps) ** 2, failures))
 
     a0, a1, a2, a3 = mckay.mckay_matrices(G)
     n = G.order
@@ -145,9 +143,10 @@ def verification_report(
     )
     checks.append({"name": "tensor_matrices", "pass": tensor_ok, "details": {}})
 
-    charts = reps = None
-    if not layers.cone_errors:
-        charts = [koszul.chart(G, gg, cone) for gg, cone in zip(fps, layers.cones)]
+    if errors:
+        charts = reps = None
+    else:
+        charts = [charts[k] for k in range(len(fps))]
         reps = [koszul.build_rep(chart, (0, 0, 0)) for chart in charts]
     checks.append(_koszul_pairs_check(G, reps, seed, max_pairs))
     checks.append(_fixed_point_betti_check(G, fps, reps))
@@ -156,10 +155,29 @@ def verification_report(
         check["status"] = _status(check)
 
     report["fixed_points"] = [gg.to_json() for gg in fps]
-    if fan_json is not None:
-        report["fan"] = fan_json
+    if layers.fan is not None:
+        report["fan"] = layers.fan.to_json()
     report["pass"] = all(c["pass"] for c in checks)
     return report
+
+
+def _per_object(name: str, checked: int, total: int, failures: list[dict]) -> dict:
+    """A check over many objects: how many were checked, and only those that failed."""
+    return {
+        "name": name,
+        "pass": not failures,
+        "details": {"checked": checked, "total": total, "failures": failures},
+    }
+
+
+def _compare(failures: list[dict], found, expected, **obj) -> None:
+    """Record a failure naming its object when found differs from expected."""
+    if found != expected:
+        failures.append({**obj, "found": found, "expected": expected})
+
+
+def _charts_failed(name: str, what: str) -> dict:
+    return {"name": name, "pass": False, "details": {"error": f"charts failed; {what}"}}
 
 
 def _status(check: dict) -> str:
@@ -175,32 +193,17 @@ def _status(check: dict) -> str:
 
 def _koszul_pairs_check(G, reps, seed, max_pairs) -> dict:
     if reps is None:
-        return {
-            "name": "koszul_pairs",
-            "pass": False,
-            "details": {"error": "charts failed; homology not computed"},
-        }
+        return _charts_failed("koszul_pairs", "homology not computed")
     ordered = [(i, j) for i in range(len(reps)) for j in range(len(reps))]
     if max_pairs is not None and len(ordered) > max_pairs:
         rng = seeded_rng(seed, 101)
         ordered = sorted(rng.sample(ordered, max_pairs))
-    pair_reports = []
-    ok = True
+    failures: list[dict] = []
     for i, j in ordered:
         h = koszul.koszul_homology(G, reps[i], reps[j])
         expected = KOSZUL_EQUAL if i == j else KOSZUL_DISTINCT
-        rep = koszul.pair_report(i, j, h, expected)
-        pair_reports.append(rep)
-        ok = ok and rep["pass"]
-    return {
-        "name": "koszul_pairs",
-        "pass": ok,
-        "details": {
-            "pairs": pair_reports,
-            "checked": len(ordered),
-            "total": len(reps) ** 2,
-        },
-    }
+        _compare(failures, list(h), list(expected), pair=[i, j])
+    return _per_object("koszul_pairs", len(ordered), len(reps) ** 2, failures)
 
 
 def betti_table(gg: ggraph.GGraph) -> tuple[int, int, int, int]:
@@ -228,73 +231,31 @@ def _fixed_point_betti_check(G, fps, reps) -> dict:
     and the tables off the enumerated ideals.
     """
     if reps is None:
-        return {
-            "name": "fixed_point_betti",
-            "pass": False,
-            "details": {"error": "charts failed; Betti tables not computed"},
-        }
-    failures = []
+        return _charts_failed("fixed_point_betti", "Betti tables not computed")
+    failures: list[dict] = []
     for k, (gg, rep) in enumerate(zip(fps, reps)):
-        h, expected = koszul.cpxnil_homology(rep), betti_table(gg)
-        if h != expected:
-            failures.append({"fixed_point": k, "h": list(h), "expected": list(expected)})
-    return {
-        "name": "fixed_point_betti",
-        "pass": not failures,
-        "details": {"failures": failures, "checked": len(reps), "total": G.order},
-    }
+        _compare(failures, list(koszul.cpxnil_homology(rep)), list(betti_table(gg)), fixed_point=k)
+    return _per_object("fixed_point_betti", len(reps), G.order, failures)
 
 
 def _chart_samples_check(G, charts, fixed_reps, samples, seed) -> dict:
+    """ADHM at each fixed point; ADHM and support at each sample; samples 0 and 1 apart."""
     if fixed_reps is None:
-        return {
-            "name": "chart_samples",
-            "pass": False,
-            "details": {"error": "charts failed; samples not computed"},
-        }
-    ok = True
-    details = []
-    checked = 0
+        return _charts_failed("chart_samples", "samples not computed")
+    failures: list[dict] = []
     for k, (fixed_rep, chart) in enumerate(zip(fixed_reps, charts)):
+        _compare(failures, {"adhm": koszul.verify_adhm(fixed_rep)}, {"adhm": True}, fixed_point=k)
         rng = seeded_rng(seed, k)
-        points = koszul.sample_chart_points(samples, rng)
-        entry = {
-            "fixed_point": k,
-            "adhm_pass": 0,
-            "support": 0,
-            "same_chart_h": None,
-        }
-        if not koszul.verify_adhm(fixed_rep):
-            ok = False
-            entry["fixed_point_adhm"] = False
         reps = []
-        for coords in points:
-            checked += 1
+        for s, coords in enumerate(koszul.sample_chart_points(samples, rng)):
             rep = koszul.build_rep(chart, coords)
             reps.append(rep)
-            if koszul.verify_adhm(rep):
-                entry["adhm_pass"] += 1
-            else:
-                ok = False
-            if koszul.support_check(G, rep):
-                entry["support"] += 1
-            else:
-                ok = False
+            found = {"adhm": koszul.verify_adhm(rep), "support": koszul.support_check(G, rep)}
+            _compare(failures, found, {"adhm": True, "support": True}, fixed_point=k, sample=s)
         if len(reps) >= 2 and reps[0].coords != reps[1].coords:
             h = koszul.koszul_homology(G, reps[0], reps[1])
-            entry["same_chart_h"] = list(h)
-            if h != KOSZUL_DISTINCT:
-                ok = False
-        details.append(entry)
-    return {
-        "name": "chart_samples",
-        "pass": ok,
-        "details": {
-            "per_fixed_point": details,
-            "checked": checked,
-            "total": samples * len(fixed_reps),
-        },
-    }
+            _compare(failures, list(h), list(KOSZUL_DISTINCT), fixed_point=k, sample=[0, 1])
+    return _per_object("chart_samples", samples * len(fixed_reps), samples * len(fixed_reps), failures)
 
 
 def render_report(report: dict) -> str:

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import get_group
+from conftest import get_charts, get_fixed_points, get_group
+from ghilb import ggraph, homcalc, koszul, verify
 from ghilb.cli import console_main, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,7 +113,7 @@ def test_verify_max_pairs_caps_work(capsys):
     assert code == 0
     payload = json.loads(out)
     koszul_check = next(c for c in payload["checks"] if c["name"] == "koszul_pairs")
-    assert len(koszul_check["details"]["pairs"]) == 6
+    assert koszul_check["details"] == {"checked": 6, "total": 25, "failures": []}
 
 
 def test_out_file_written(capsys, tmp_path):
@@ -218,6 +219,37 @@ def test_unwritable_output_path_exits_two(capsys, tmp_path, flag):
     assert captured.err.startswith("error:") and "q.out" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--oracle-cap", "0", "oracle cap must be at least 1"),
+        ("--samples", "-1", "sample count must be nonnegative"),
+        ("--max-pairs", "-1", "pair cap must be nonnegative"),
+    ],
+)
+def test_verify_option_errors_exit_two(capsys, flag, value, message):
+    code, out, err = run(capsys, "verify", "--group", "3:1,1,1", flag, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("group", "--samples"),
+        ("group", "--oracle-cap"),
+        ("quiver", "--max-pairs"),
+        ("fan", "--oracle-cap"),
+        ("fixed-points", "--samples"),
+        ("fan", "--dot"),
+    ],
+)
+def test_options_a_command_does_not_read_are_refused(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--group", "7:1,2,4", flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_negative_pair_cap_exits_two(capsys):
     # rejected with the options, before it can reach random.sample
     code, out, err = run(capsys, "verify", "--group", "3:1,1,1", "--max-pairs", "-1")
@@ -304,8 +336,9 @@ def test_verify_reports_a_failed_chart(capsys, monkeypatch):
     charts = checks["charts_smooth_crepant"]
     assert charts["status"] == "fail"
     assert charts["details"] == {
-        "errors": [{"fixed_point": PLANTED_AT, "error": f"planted fault at fixed point {PLANTED_AT}"}],
-        "cones": 6,
+        "checked": 7,
+        "total": 7,
+        "failures": [{"fixed_point": PLANTED_AT, "error": f"planted fault at fixed point {PLANTED_AT}"}],
     }
     assert checks["fan"]["details"] == {"error": "charts failed; fan not assembled"}
     assert checks["koszul_pairs"]["details"] == {"error": "charts failed; homology not computed"}
@@ -336,3 +369,133 @@ def test_verify_reports_a_fan_error(capsys, monkeypatch):
     assert checks["charts_smooth_crepant"]["pass"] is True
     assert checks["koszul_pairs"]["pass"] is True
     assert "fan" not in report
+
+
+def test_verify_reports_a_failed_chart_table(capsys, monkeypatch):
+    # the cone is built, but koszul.chart finds an arrow exponent that is
+    # not a nonnegative integer: a failed check, not an internal fault
+    from ghilb import koszul, toric
+
+    real = koszul.chart
+
+    def planted(G, gg, cone):
+        if cone.owner == PLANTED_AT:
+            raise toric.ChartError(f"planted chart-table fault at fixed point {cone.owner}")
+        return real(G, gg, cone)
+
+    monkeypatch.setattr(koszul, "chart", planted)
+    code = console_main(["verify", "--group", "7:1,2,4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report = json.loads(captured.out)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["charts_smooth_crepant"]["details"] == {
+        "checked": 7,
+        "total": 7,
+        "failures": [
+            {"fixed_point": PLANTED_AT, "error": f"planted chart-table fault at fixed point {PLANTED_AT}"}
+        ],
+    }
+    assert checks["fan"] == {"name": "fan", "pass": True, "details": {}, "status": "ok"}
+    assert "fan" in report
+    for name, what in (
+        ("koszul_pairs", "homology not computed"),
+        ("fixed_point_betti", "Betti tables not computed"),
+        ("chart_samples", "samples not computed"),
+    ):
+        assert checks[name]["details"] == {"error": f"charts failed; {what}"}
+        assert checks[name]["status"] == "fail"
+    assert "first failing check: charts_smooth_crepant" in captured.err
+
+
+SPEC = "7:1,2,4"
+
+
+def _planted_failures(capsys, monkeypatch, module, name, wrong):
+    """Run verify on SPEC with module.name answering wrong(*args) where it is not None.
+
+    Returns the details of every check; the run must fail (exit 1).
+    """
+    real = getattr(module, name)
+
+    def planted(*args):
+        answer = wrong(*args)
+        return real(*args) if answer is None else answer
+
+    monkeypatch.setattr(module, name, planted)
+    code, out, _ = run(capsys, "verify", "--group", SPEC)
+    assert code == 1
+    return {c["name"]: c["details"] for c in json.loads(out)["checks"]}
+
+
+def test_a_failed_koszul_pair_is_named(capsys, monkeypatch):
+    reps = [koszul.build_rep(chart, (0, 0, 0)) for chart in get_charts(SPEC)]
+    details = _planted_failures(
+        capsys,
+        monkeypatch,
+        koszul,
+        "koszul_homology",
+        lambda G, a, b: (0, 1, 1, 0) if (a, b) == (reps[1], reps[4]) else None,
+    )
+    assert details["koszul_pairs"] == {
+        "checked": 49,
+        "total": 49,
+        "failures": [{"pair": [1, 4], "found": [0, 1, 1, 0], "expected": [0, 0, 0, 0]}],
+    }
+
+
+def test_a_failed_hom_entry_is_named(capsys, monkeypatch):
+    fps = get_fixed_points(SPEC)
+    details = _planted_failures(
+        capsys,
+        monkeypatch,
+        homcalc,
+        "hom_dim",
+        lambda G, src, tgt: 2 if (src, tgt) == (fps[2], fps[5]) else None,
+    )
+    assert details["hom_matrix"] == {
+        "checked": 49,
+        "total": 49,
+        "failures": [{"pair": [2, 5], "found": 2, "expected": 1}],
+    }
+
+
+def test_a_failed_chart_sample_is_named(capsys, monkeypatch):
+    chart = get_charts(SPEC)[6]
+    coords = koszul.sample_chart_points(5, verify.seeded_rng(0, 6))[3]
+    sample = koszul.build_rep(chart, coords)
+    details = _planted_failures(
+        capsys,
+        monkeypatch,
+        koszul,
+        "support_check",
+        lambda G, rep: False if rep == sample else None,
+    )
+    assert details["chart_samples"] == {
+        "checked": 35,
+        "total": 35,
+        "failures": [
+            {
+                "fixed_point": 6,
+                "sample": 3,
+                "found": {"adhm": True, "support": False},
+                "expected": {"adhm": True, "support": True},
+            }
+        ],
+    }
+
+
+def test_a_failed_count_identity_is_named(capsys, monkeypatch):
+    fps = get_fixed_points(SPEC)
+    details = _planted_failures(
+        capsys,
+        monkeypatch,
+        ggraph,
+        "verify_count_identity",
+        lambda gg: False if gg == fps[0] else None,
+    )
+    assert details["count_identity"] == {
+        "checked": 7,
+        "total": 7,
+        "failures": [{"fixed_point": 0, "found": False, "expected": True}],
+    }
