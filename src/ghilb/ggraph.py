@@ -296,6 +296,15 @@ def brute_force_fixed_points(G: AbelianGroup, cap: int) -> list[GGraph]:
     with a zero exponent are eligible (xyz shares the trivial character with
     1, hence lies in every fixed ideal), and a monomial is only added when
     its character is still unused.
+
+    The search carries the frontier of its staircase: the monomials outside
+    it all of whose lowerings lie in it, which are the staircase ideal's
+    minimal generators.  Adding a frontier monomial s removes s from the
+    frontier and can add only raisings s * x_axis, those whose lowerings
+    all lie in the new staircase: any other monomial has the same lowerings
+    as before.  Each full staircase builds its ideal from its frontier and
+    is revalidated by is_ggraph, so the oracle shares nothing with the
+    parameter solve of enumerate_fixed_points.
     """
     if G.order > cap:
         raise OracleCapError(f"group order {G.order} exceeds the oracle cap {cap}")
@@ -307,26 +316,18 @@ def brute_force_fixed_points(G: AbelianGroup, cap: int) -> list[GGraph]:
 
     results: list[GGraph] = []
 
-    def corners(gamma: set[Monomial]) -> set[Monomial]:
-        """The monomials outside gamma all of whose lowerings lie in gamma."""
+    def raisings(gamma: set[Monomial], s: Monomial) -> set[Monomial]:
+        """The raisings of s, just added to gamma, all of whose lowerings lie in gamma."""
         found = set()
-        for m in gamma:
-            for axis in range(3):
-                s = list(m)
-                s[axis] += 1
-                s = tuple(s)
-                if s not in gamma and all(
-                    s[ax] == 0 or _lowered(s, ax) in gamma for ax in range(3)
-                ):
-                    found.add(s)
+        for axis in range(3):
+            r = list(s)
+            r[axis] += 1
+            if all(ax == axis or not r[ax] or _lowered(r, ax) in gamma for ax in range(3)):
+                found.add(tuple(r))
         return found
 
-    def candidates(gamma: set[Monomial], last) -> list[Monomial]:
-        return sorted((s for s in corners(gamma) if min(s) == 0 and key(s) > last), key=key)
-
-    def close(gamma: set[Monomial]) -> None:
-        ideal = MonomialIdeal.from_generators(corners(gamma))
-        gg = is_ggraph(G, ideal)
+    def close(gamma: set[Monomial], frontier: set[Monomial]) -> None:
+        gg = is_ggraph(G, MonomialIdeal.from_generators(frontier))
         if gg is None:
             raise RuntimeError(
                 f"oracle staircase {sorted(gamma)} failed revalidation; "
@@ -334,21 +335,22 @@ def brute_force_fixed_points(G: AbelianGroup, cap: int) -> list[GGraph]:
             )
         results.append(gg)
 
-    def dfs(gamma: set[Monomial], used: set[int], last) -> None:
+    def dfs(gamma: set[Monomial], used: set[int], frontier: set[Monomial], last) -> None:
         if len(gamma) == N:
-            close(gamma)
+            close(gamma, frontier)
             return
-        for s in candidates(gamma, last):
+        for s in sorted((s for s in frontier if min(s) == 0 and key(s) > last), key=key):
             c = ci(s)
             if c in used:
                 continue
             gamma.add(s)
             used.add(c)
-            dfs(gamma, used, key(s))
+            dfs(gamma, used, (frontier - {s}) | raisings(gamma, s), key(s))
             gamma.discard(s)
             used.discard(c)
 
-    dfs({(0, 0, 0)}, {ci((0, 0, 0))}, key((0, 0, 0)))
+    one = (0, 0, 0)
+    dfs({one}, {ci(one)}, raisings({one}, one), key(one))
     results.sort(key=lambda gg: gg.gamma)
     return results
 

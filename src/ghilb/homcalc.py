@@ -7,8 +7,7 @@ syzygies of a monomial ideal, and each one either identifies two scalars,
 kills one, or is vacuous.  Each is one linear row on the scalars with at
 most two entries, x_g - x_h or x_g, so the Hom dimension is the number of
 generators less the rank of those rows, which ``linalg.two_term_basis``
-reads off without elimination; every ratio it keeps is 1, so no Fraction
-arises.
+reads off without elimination; every ratio it keeps is 1.
 """
 
 from __future__ import annotations

@@ -4,17 +4,16 @@
 column -> nonzero int, divides each row by its content (which does not
 change the rank) and eliminates with integer row operations, so no quotient
 is ever formed.  ``two_term_basis`` needs no elimination: on rows with at
-most two nonzeros it finds a row basis by union-find over the columns,
-keeping exact ratios.  It cancels the d3 and d1 cells of the Koszul
-complexes and ranks the Hom syzygy rows x_g - x_h and x_g of ``homcalc``.
-``det3`` and ``adjugate3`` are the closed-form 3x3 determinant and adjugate
-of the chart exponent matrices.  Everything here is exact; no floating
-point is used anywhere in the package.
+most two nonzero ints it finds a row basis by union-find over the columns,
+keeping exact ratios as int pairs.  It cancels the d3 and d1 cells of the
+Koszul complexes and ranks the Hom syzygy rows x_g - x_h and x_g of
+``homcalc``.  ``det3`` and ``adjugate3`` are the closed-form 3x3
+determinant and adjugate of the chart exponent matrices.  Everything here
+is exact; no floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -42,44 +41,49 @@ def rank_sparse(rows: list[dict[int, int]], ncols: int) -> int:
     return len(pivots)
 
 
-def two_term_basis(rows: list[dict[int, object]]) -> list[int]:
+def two_term_basis(rows: list[dict[int, int]]) -> list[int]:
     """Indices of a row basis, first found first, of rows with at most two entries.
 
-    Entries are nonzero; the rank is the basis's length.  No row is
+    Entries are nonzero ints; the rank is the basis's length.  No row is
     eliminated: columns are the nodes of a union-find forest, and a row
     a*x_u + b*x_v = 0 is an edge that fixes x_v / x_u.  Each node keeps the
-    exact ratio of its value to its parent's, so every kernel vector is fixed
-    on a component by its value at the root, until a one-term row, or a
-    cycle whose ratios disagree, forces the whole component to zero.  A row
-    is independent of the rows before it exactly when it joins two
-    components that are not both forced to zero, or forces a free component
-    to zero.  Raises ValueError on a row with more than two entries.
+    ratio of its value to its parent's as a gcd-reduced int pair (p, q),
+    so every kernel vector is fixed on a component by its value at the
+    root, until a one-term row, or a cycle whose ratios disagree, forces
+    the whole component to zero.  Ratios are compared by cross-multiplying,
+    so no quotient is formed.  A row is independent of the rows before it
+    exactly when it joins two components that are not both forced to zero,
+    or forces a free component to zero.  Raises ValueError on a row with
+    more than two entries.
     """
     parent: dict[int, int] = {}
-    ratio: dict = {}
+    ratio: dict[int, tuple[int, int]] = {}
     forced: set[int] = set()
 
     def find(u):
-        """(root, x_u / x_root) for a node that is not a root, compressing its path."""
+        """(root, p, q) with x_u / x_root = p / q, for a node that is not a root.
+
+        Compresses the path: each node on it is reattached to the root.
+        """
         path = []
         while u in parent:
             path.append(u)
             u = parent[u]
-        scale = 1
+        p = q = 1
         for node in reversed(path):
-            scale = ratio[node] * scale
-            parent[node], ratio[node] = u, scale
-        return u, scale
+            p, q = _reduced(ratio[node][0] * p, ratio[node][1] * q)
+            parent[node], ratio[node] = u, (p, q)
+        return u, p, q
 
     basis = []
     for index, row in enumerate(rows):
         if len(row) == 2:
             (u, a), (v, b) = row.items()
-            ru, pu = find(u) if u in parent else (u, 1)
-            rv, pv = find(v) if v in parent else (v, 1)
+            ru, pu, qu = find(u) if u in parent else (u, 1, 1)
+            rv, pv, qv = find(v) if v in parent else (v, 1, 1)
             if ru == rv:
-                # a*pu + b*pv = 0 says the row holds on every kernel vector
-                if ru in forced or a * pu + b * pv == 0:
+                # a*pu/qu + b*pv/qv = 0 says the row holds on every kernel vector
+                if ru in forced or a * pu * qv + b * pv * qu == 0:
                     continue
                 forced.add(ru)
             elif ru in forced and rv in forced:
@@ -88,9 +92,9 @@ def two_term_basis(rows: list[dict[int, object]]) -> list[int]:
                 parent[rv] = ru
                 if ru in forced or rv in forced:
                     forced.add(ru)
-                    ratio[rv] = 1
+                    ratio[rv] = (1, 1)
                 else:
-                    ratio[rv] = _quotient(-a * pu, b * pv)
+                    ratio[rv] = _reduced(-a * pu * qv, b * pv * qu)
         elif len(row) == 1:
             (u,) = row
             root = find(u)[0] if u in parent else u
@@ -105,11 +109,10 @@ def two_term_basis(rows: list[dict[int, object]]) -> list[int]:
     return basis
 
 
-def _quotient(a, b):
-    """a / b, as an int when it is one."""
-    if type(a) is int and type(b) is int and a % b == 0:
-        return a // b
-    return Fraction(a, b)
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    """The ratio p / q as an int pair divided by gcd(p, q)."""
+    g = gcd(p, q)
+    return (p, q) if g == 1 else (p // g, q // g)
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:

@@ -106,6 +106,16 @@ def test_verify_json_matches_golden(capsys, spec, golden, tmp_path):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+def test_capped_verify_json_matches_golden(capsys, tmp_path):
+    # the oracle skipped, 2 chart samples, and 10 of the 49 pairs, among
+    # them both (0, 5) and (5, 0)
+    out = tmp_path / "verify.json"
+    argv = ["--samples", "2", "--oracle-cap", "3", "--max-pairs", "10", "--seed", "5"]
+    assert main(["verify", "--group", "7:1,2,4", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "verify_7-1-2-4_seed5_capped.json").read_bytes()
+
+
 def test_verify_max_pairs_caps_work(capsys):
     code, out, _ = run(
         capsys, "verify", "--group", "5:1,2,2", "--max-pairs", "6", "--samples", "1"
@@ -435,13 +445,53 @@ def test_a_failed_koszul_pair_is_named(capsys, monkeypatch):
         monkeypatch,
         koszul,
         "koszul_homology",
-        lambda G, a, b: (0, 1, 1, 0) if (a, b) == (reps[1], reps[4]) else None,
+        lambda G, a, b: (0, 0, 1, 0) if (a, b) == (reps[1], reps[4]) else None,
     )
+    # (4, 1) is not ranked: its h is the planted h of (1, 4) reversed
     assert details["koszul_pairs"] == {
         "checked": 49,
         "total": 49,
-        "failures": [{"pair": [1, 4], "found": [0, 1, 1, 0], "expected": [0, 0, 0, 0]}],
+        "failures": [
+            {"pair": [1, 4], "found": [0, 0, 1, 0], "expected": [0, 0, 0, 0]},
+            {"pair": [4, 1], "found": [0, 1, 0, 0], "expected": [0, 0, 0, 0]},
+        ],
     }
+
+
+def test_a_sampled_pair_whose_dual_is_not_sampled_is_ranked(capsys, monkeypatch):
+    # the seeded sample of 10 of the 49 pairs at seed 5 holds (0, 5) and
+    # (5, 0), and (2, 1), (3, 0), (3, 1), (4, 2), (4, 3) and (6, 4) without
+    # their duals: only (5, 0) is read off its dual
+    reps = [koszul.build_rep(chart, (0, 0, 0)) for chart in get_charts(SPEC)]
+    real = koszul.koszul_homology
+    ranked = []
+
+    def spy(G, a, b):
+        ranked.append((reps.index(a), reps.index(b)))
+        return real(G, a, b)
+
+    monkeypatch.setattr(koszul, "koszul_homology", spy)
+    code, out, _ = run(
+        capsys, "verify", "--group", SPEC, "--samples", "1", "--max-pairs", "10", "--seed", "5"
+    )
+    assert code == 0
+    assert ranked == [(0, 5), (1, 6), (2, 1), (3, 0), (3, 1), (4, 2), (4, 3), (4, 5), (6, 4)]
+    checks = {c["name"]: c["details"] for c in json.loads(out)["checks"]}
+    assert checks["koszul_pairs"] == {"checked": 10, "total": 49, "failures": []}
+
+
+def test_betti_check_counts_the_fixed_points_enumerated(capsys, monkeypatch):
+    # an enumeration that misses a fixed point fails the count and the
+    # oracle, and the Betti check checks all of the six it is given
+    real = ggraph.enumerate_fixed_points
+    monkeypatch.setattr(ggraph, "enumerate_fixed_points", lambda G: real(G)[1:])
+    code, out, _ = run(capsys, "verify", "--group", SPEC)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["fixed_point_count"]["details"] == {"count": 6, "expected": 7}
+    assert checks["oracle_agreement"]["pass"] is False
+    assert checks["fixed_point_betti"]["details"] == {"checked": 6, "total": 6, "failures": []}
+    assert checks["fixed_point_betti"]["status"] == "ok"
 
 
 def test_a_failed_hom_entry_is_named(capsys, monkeypatch):

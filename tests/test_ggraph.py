@@ -122,11 +122,22 @@ def test_enumeration_count_and_identities(spec, order):
         assert verify_count_identity(gg)
 
 
-@pytest.mark.parametrize("spec,order", SUITE_3D)
+# Up to the oracle cap 16: 16:1,3,12 and the 4x4 group are at it
+ORACLE_SPECS = SUITE_3D + [
+    ("13:1,3,9", 13),
+    ("3:1,2,0;3:0,1,2", 9),
+    ("6:1,5,0", 6),
+    ("16:1,3,12", 16),
+    ("4:1,3,0;4:0,1,3", 16),
+]
+
+
+@pytest.mark.parametrize("spec,order", ORACLE_SPECS)
 def test_enumeration_matches_oracle(spec, order):
     G = get_group(spec)
     fps = get_fixed_points(spec)
     oracle = brute_force_fixed_points(G, cap=16)
+    assert len(oracle) == order
     assert [gg.to_json() for gg in fps] == [gg.to_json() for gg in oracle]
 
 

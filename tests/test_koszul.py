@@ -468,23 +468,23 @@ def test_wedge_homology_at_fixed_points_is_the_betti_table(spec):
 
 def test_fixed_point_betti_names_planted_defects():
     spec = "13:1,3,9"
-    G, fps = get_group(spec), list(get_fixed_points(spec))
+    fps = list(get_fixed_points(spec))
     reps = [build_rep(c, (0, 0, 0)) for c in get_charts(spec)]
-    check = verify._fixed_point_betti_check(G, fps, reps)
+    check = verify._fixed_point_betti_check(fps, reps)
     assert check["pass"] and check["details"] == {"failures": [], "checked": 13, "total": 13}
     tables = [betti_table(gg) for gg in fps]
     # a generator dropped from the ideal of fixed point k
     k = next(k for k, gg in enumerate(fps) if len(gg.ideal.gens) > 3)
     dropped = list(fps)
     dropped[k] = replace(fps[k], ideal=MonomialIdeal(fps[k].ideal.gens[1:]))
-    check = verify._fixed_point_betti_check(G, dropped, reps)
+    check = verify._fixed_point_betti_check(dropped, reps)
     assert not check["pass"]
     assert [f["fixed_point"] for f in check["details"]["failures"]] == [k]
     # the modules of two fixed points with different Betti tables swapped
     j = next(j for j in range(len(fps)) if tables[j] != tables[k])
     swapped = list(reps)
     swapped[j], swapped[k] = reps[k], reps[j]
-    check = verify._fixed_point_betti_check(G, fps, swapped)
+    check = verify._fixed_point_betti_check(fps, swapped)
     assert [f["fixed_point"] for f in check["details"]["failures"]] == sorted((j, k))
 
 
