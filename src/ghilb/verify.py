@@ -1,16 +1,20 @@
 """One-shot verification suite for a single group.
 
-Runs enumeration against the brute-force oracle, classification and counting
-identities, the toric smoothness/crepancy/fan checks, the Hom matrix, and
-exact homology over all fixed-point pairs plus seeded chart samples.  Of the
-pairs (i, j) and (j, i), only the first met is ranked: Serre duality makes
-the other's homology the reversed tuple, and it is reported and counted in
-checked as a pair of its own (_koszul_pairs_check).  The
-wedge complex of each fixed-point module must have the Betti table of the
-enumerated ideal as its homology (fixed_point_betti).  Each chart sample is
-checked for the ADHM-style relations and, through koszul.support_check,
-support on one free orbit; samples 0 and 1 of one chart must have an exact
-pair complex.
+The report holds nine checks, in this order: fixed_point_count,
+oracle_agreement (the enumeration against the brute-force oracle),
+count_identity, charts_smooth_crepant, fan, hom_matrix, koszul_pairs
+(exact homology over the fixed-point pairs), fixed_point_betti and
+chart_samples.  Of the pairs (i, j) and (j, i), only the first met is
+ranked: Serre duality makes the other's homology the reversed tuple, and
+it is reported and counted in checked as a pair of its own
+(_koszul_pairs_check).  The wedge complex of each fixed-point module must
+have the Betti table of the enumerated ideal as its homology
+(fixed_point_betti).  Each chart sample is checked for the ADHM-style
+relations and, through koszul.support_check, support on one free orbit;
+samples 0 and 1 of one chart must have an exact pair complex.
+What holds by construction is not checked: the identities of the wedge
+matrices (tests/test_mckay.py pins them) and the ADHM relations of the
+fixed-point modules (_chart_samples_check).
 
 The six checks over many objects (count_identity, charts_smooth_crepant,
 hom_matrix, koszul_pairs, fixed_point_betti, chart_samples) share one
@@ -19,8 +23,9 @@ checked out of how many, and one record per failing object only.  A
 record names its object (fixed_point k, pair [i, j], and for a chart
 sample also sample s, or [0, 1] for the pair of samples) with the value
 "found" and the value "expected", or for a chart with the "error" that
-rejected its cone or its table.  The oracle check also carries
-checked/total.
+rejected its cone or its table.  The number of fixed points is written
+once, as the count of fixed_point_count; oracle_agreement's details are
+{"oracle": the number the oracle found}, or {} when it is skipped.
 
 Every check carries a "status" of ok, fail, skip or empty; a check that did
 no work is "empty" or "skip", never "ok", and "pass" still says only
@@ -81,25 +86,14 @@ def verification_report(
 
     if G.order <= oracle_cap:
         agree, found = ggraph.oracle_agreement(G, fps, oracle_cap)
-        checks.append(
-            {
-                "name": "oracle_agreement",
-                "pass": agree,
-                "details": {
-                    "enumerated": len(fps),
-                    "oracle": found,
-                    "checked": len(fps),
-                    "total": len(fps),
-                },
-            }
-        )
+        checks.append({"name": "oracle_agreement", "pass": agree, "details": {"oracle": found}})
     else:
         checks.append(
             {
                 "name": "oracle_agreement",
                 "pass": True,
                 "skipped": f"group order {G.order} above oracle cap {oracle_cap}",
-                "details": {"checked": 0, "total": len(fps)},
+                "details": {},
             }
         )
 
@@ -134,18 +128,6 @@ def verification_report(
             _compare(failures, dim, expected, pair=[i, j])
     checks.append(_per_object("hom_matrix", len(fps) ** 2, len(fps) ** 2, failures))
 
-    a0, a1, a2, a3 = mckay.mckay_matrices(G)
-    n = G.order
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    tensor_ok = (
-        a0 == ident
-        and a3 == ident
-        and a2 == [[a1[l][k] for l in range(n)] for k in range(n)]
-        and all(sum(row) == 3 for row in a1)
-        and all(sum(col) == 3 for col in zip(*a1))
-    )
-    checks.append({"name": "tensor_matrices", "pass": tensor_ok, "details": {}})
-
     if errors:
         charts = reps = None
     else:
@@ -153,7 +135,7 @@ def verification_report(
         reps = [koszul.build_rep(chart, (0, 0, 0)) for chart in charts]
     checks.append(_koszul_pairs_check(G, reps, seed, max_pairs))
     checks.append(_fixed_point_betti_check(fps, reps))
-    checks.append(_chart_samples_check(G, charts, reps, samples, seed))
+    checks.append(_chart_samples_check(G, charts, samples, seed))
     for check in checks:
         check["status"] = _status(check)
 
@@ -253,13 +235,19 @@ def _fixed_point_betti_check(fps, reps) -> dict:
     return _per_object("fixed_point_betti", len(fps), len(fps), failures)
 
 
-def _chart_samples_check(G, charts, fixed_reps, samples, seed) -> dict:
-    """ADHM at each fixed point; ADHM and support at each sample; samples 0 and 1 apart."""
-    if fixed_reps is None:
+def _chart_samples_check(G, charts, samples, seed) -> dict:
+    """ADHM and support at each sample; samples 0 and 1 apart.
+
+    A fixed-point module needs no ADHM check: a chart's arrow exponents add
+    along paths, so x_alpha x_beta and x_beta x_alpha give one coefficient,
+    and line 0 reaches every line of a staircase.  One built wrong anyway is
+    refused by the homology (B's that do not commute) or fails
+    fixed_point_betti.
+    """
+    if charts is None:
         return _charts_failed("chart_samples", "samples not computed")
     failures: list[dict] = []
-    for k, (fixed_rep, chart) in enumerate(zip(fixed_reps, charts)):
-        _compare(failures, {"adhm": koszul.verify_adhm(fixed_rep)}, {"adhm": True}, fixed_point=k)
+    for k, chart in enumerate(charts):
         rng = seeded_rng(seed, k)
         reps = []
         for s, coords in enumerate(koszul.sample_chart_points(samples, rng)):
@@ -270,7 +258,7 @@ def _chart_samples_check(G, charts, fixed_reps, samples, seed) -> dict:
         if len(reps) >= 2 and reps[0].coords != reps[1].coords:
             h = koszul.koszul_homology(G, reps[0], reps[1])
             _compare(failures, list(h), list(KOSZUL_DISTINCT), fixed_point=k, sample=[0, 1])
-    return _per_object("chart_samples", samples * len(fixed_reps), samples * len(fixed_reps), failures)
+    return _per_object("chart_samples", samples * len(charts), samples * len(charts), failures)
 
 
 def render_report(report: dict) -> str:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -149,7 +150,7 @@ def test_verify_with_no_work_is_never_ok(capsys):
     assert checks["koszul_pairs"]["details"]["total"] == 49
     assert checks["chart_samples"]["details"]["checked"] == 0
     assert checks["chart_samples"]["details"]["total"] == 0
-    assert checks["oracle_agreement"]["details"]["checked"] == 7
+    assert checks["oracle_agreement"]["details"] == {"oracle": 7}
     assert checks["koszul_pairs"]["status"] == "empty"
     assert checks["chart_samples"]["status"] == "empty"
     assert checks["oracle_agreement"]["status"] == "ok"
@@ -162,9 +163,10 @@ def test_verify_with_no_work_is_never_ok(capsys):
 def test_skipped_oracle_is_not_ok(capsys):
     code, out, err = run(capsys, "verify", "--group", "3:1,1,1", "--oracle-cap", "2")
     assert code == 0
-    assert "  skip  oracle_agreement (0/3)" in err
+    assert "  skip  oracle_agreement [skipped: group order 3 above oracle cap 2]" in err
     oracle = next(c for c in json.loads(out)["checks"] if c["name"] == "oracle_agreement")
     assert oracle["status"] == "skip"
+    assert oracle["details"] == {}
 
 
 def test_bad_spec_exits_two(capsys):
@@ -549,3 +551,54 @@ def test_a_failed_count_identity_is_named(capsys, monkeypatch):
         "total": 7,
         "failures": [{"fixed_point": 0, "found": False, "expected": True}],
     }
+
+
+def _rescaled_arrow(rep):
+    """x from line 0 doubled: from line 0, x then y and y then x no longer agree."""
+    x, y, z = rep.coeffs
+    return replace(rep, coeffs=([2 * x[0], *x[1:]], y, z))
+
+
+def _cut_socle_line(rep):
+    """Every arrow into the line of the socle monomial yz set to 0.
+
+    No arrow leaves a socle line at a fixed point, so the B's still commute,
+    but the cyclic span misses that line.
+    """
+    line = rep.group.char_index((0, 1, 1))
+    coeffs = tuple(
+        [0 if target == line else v for v, target in zip(cs, shift)]
+        for cs, shift in zip(rep.coeffs, koszul.shifts(rep.group))
+    )
+    return replace(rep, coeffs=coeffs)
+
+
+def _plant_fixed_point_module(monkeypatch, fault):
+    """koszul.build_rep, but with fault applied to the module of fixed point PLANTED_AT."""
+    target = koszul.build_rep(get_charts(SPEC)[PLANTED_AT], (0, 0, 0))
+    real = koszul.build_rep
+
+    def planted(chart, coords):
+        rep = real(chart, coords)
+        return fault(rep) if rep == target else rep
+
+    monkeypatch.setattr(koszul, "build_rep", planted)
+
+
+@pytest.mark.parametrize("pair_cap", [[], ["--max-pairs", "0"]], ids=["all-pairs", "no-pairs"])
+def test_a_faulty_fixed_point_module_is_stopped(capsys, monkeypatch, pair_cap):
+    # the module of fixed point 2 (staircase 1, x, y, z, xy, xz, yz) built
+    # wrong: homology refuses a module whose B's do not commute, and the
+    # Betti check catches one whose cyclic span misses a line
+    argv = ["verify", "--group", SPEC, "--samples", "1", *pair_cap]
+    _plant_fixed_point_module(monkeypatch, _rescaled_arrow)
+    assert console_main(argv) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["layer"] == "koszul._require_commuting"
+
+    monkeypatch.undo()
+    _plant_fixed_point_module(monkeypatch, _cut_socle_line)
+    assert console_main(argv) == 1
+    checks = {c["name"]: c["details"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["fixed_point_betti"]["failures"] == [
+        {"fixed_point": PLANTED_AT, "found": [3, 8, 7, 2], "expected": [3, 6, 4, 1]}
+    ]

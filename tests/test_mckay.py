@@ -24,7 +24,22 @@ def test_seven_quiver_structure():
             assert a1[k][l] == expected
 
 
-@pytest.mark.parametrize("spec,order", SUITE_3D)
+# SUITE_3D and every group of the CI verify smoke: the report does not
+# check these identities, which hold by construction
+@pytest.mark.parametrize(
+    "spec,order",
+    SUITE_3D
+    + [
+        ("13:1,3,9", 13),
+        ("6:1,5,0", 6),
+        ("3:1,2,0;3:0,1,2", 9),
+        ("37:1,10,26", 37),
+        ("53:1,4,48", 53),
+        ("10:1,9,0", 10),
+        ("16:1,3,12", 16),
+        ("4:1,3,0;4:0,1,3", 16),
+    ],
+)
 def test_wedge_identities(spec, order):
     G = get_group(spec)
     a0, a1, a2, a3 = mckay_matrices(G)
