@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from . import ggraph, mckay, toric, verify
@@ -138,6 +139,7 @@ COMMANDS = {
 }
 
 
+@cache  # built on first use, so importing this module stays cheap
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghilb",

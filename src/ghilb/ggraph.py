@@ -1,7 +1,10 @@
 """Torus-fixed points of the G-Hilbert scheme as monomial staircases.
 
-A fixed point is a monomial ideal whose complement Gamma carries every
-character of G exactly once.  Each such ideal is generated by
+A fixed point is a monomial ideal whose complement Gamma, its G-graph,
+carries every character of G exactly once.  GGraph holds that as one
+table, by_char[c] = the staircase monomial of character c, which spans the
+fibre of the tautological bundle R_c at the fixed point; every layer reads
+it.  Each such ideal is generated by
 
     x^alpha, y^beta, z^gamma, x^a y^e, y^b z^f, z^c x^d, xyz
 
@@ -85,17 +88,16 @@ class MonomialIdeal:
 
 @dataclass(frozen=True)
 class GGraph:
-    """A torus-fixed ideal together with its staircase and classification."""
+    """A torus-fixed ideal with its staircase, character table and classification.
+
+    gamma is sorted, and by_char[c] is the staircase monomial of character c.
+    """
 
     gamma: tuple[Monomial, ...]
     ideal: MonomialIdeal
-    char_index: tuple[int, ...]
+    by_char: tuple[Monomial, ...]
     kind: str
     params: tuple[int, int, int, int, int, int]
-
-    def char_to_gamma(self) -> dict[int, int]:
-        """Map a character index to the position of its monomial in gamma."""
-        return {c: i for i, c in enumerate(self.char_index)}
 
     def to_json(self) -> dict:
         return {
@@ -103,7 +105,8 @@ class GGraph:
             "params": list(self.params),
             "generators": [list(g) for g in self.ideal.gens],
             "gamma": [list(m) for m in self.gamma],
-            "characters": list(self.char_index),
+            # the character of each gamma monomial in turn, gamma being sorted
+            "characters": sorted(range(len(self.by_char)), key=self.by_char.__getitem__),
         }
 
 
@@ -118,20 +121,17 @@ def complement(ideal: MonomialIdeal) -> list[Monomial]:
     return sorted(out)
 
 
-def classify(
-    G: AbelianGroup, gamma: list[Monomial], chars: list[int], ideal: MonomialIdeal
-):
-    """Determine (kind, params) from character matching.
+def classify(G: AbelianGroup, by_char: tuple[Monomial, ...], ideal: MonomialIdeal):
+    """Determine (kind, params) from character matching against by_char.
 
     Raises ClassificationError when the matched monomials do not have the
     required shape or the three axis relations disagree on the kind; either
     event contradicts the structure theory and is treated as fatal.
     """
     alpha, beta, gamma_exp = ideal.pure_power_exponents()
-    pos_of_char = {c: i for i, c in enumerate(chars)}
 
     def matched(exponent: Monomial) -> Monomial:
-        return gamma[pos_of_char[G.char_index(exponent)]]
+        return by_char[G.char_index(exponent)]
 
     mz = matched((0, 0, gamma_exp))
     if mz[2] != 0:
@@ -172,17 +172,12 @@ def is_ggraph(G: AbelianGroup, ideal: MonomialIdeal) -> GGraph | None:
     gamma = complement(ideal)
     if len(gamma) != G.order:
         return None
-    chars = [G.char_index(m) for m in gamma]
-    if len(set(chars)) != len(chars):
+    table = {G.char_index(m): m for m in gamma}
+    if len(table) != len(gamma):
         return None
-    kind, params = classify(G, gamma, chars, ideal)
-    return GGraph(
-        gamma=tuple(gamma),
-        ideal=ideal,
-        char_index=tuple(chars),
-        kind=kind,
-        params=params,
-    )
+    by_char = tuple(table[c] for c in range(G.order))
+    kind, params = classify(G, by_char, ideal)
+    return GGraph(gamma=tuple(gamma), ideal=ideal, by_char=by_char, kind=kind, params=params)
 
 
 def seven_generators(kind: str, params) -> tuple[Monomial, ...]:

@@ -137,9 +137,7 @@ def chart(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> Chart:
     """
     R = G.R
     rays = cone.rays
-    line_of = gg.char_to_gamma()
-    monomials = [gg.gamma[line_of[c]] for c in range(G.order)]
-    heights = [[sum(p * r for p, r in zip(m, ray)) for ray in rays] for m in monomials]
+    heights = [[sum(p * r for p, r in zip(m, ray)) for ray in rays] for m in gg.by_char]
     slot_of: dict = {}
     slots = []
     for alpha, shift in enumerate(shifts(G)):
@@ -151,7 +149,7 @@ def chart(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> Chart:
                 power, rest = divmod(pairing, R)
                 if power < 0 or rest:
                     raise toric.ChartError(
-                        f"x_{alpha} * {monomials[c]} has exponent {Fraction(pairing, R)} "
+                        f"x_{alpha} * {gg.by_char[c]} has exponent {Fraction(pairing, R)} "
                         f"on coordinate {i} of the chart of fixed point {cone.owner}; "
                         "the cone is not this staircase's chart"
                     )

@@ -206,15 +206,14 @@ def _koszul_pairs_check(G, reps, seed, max_pairs) -> dict:
 def betti_table(gg: ggraph.GGraph) -> tuple[int, int, int, int]:
     """(socle, beta2, beta1, 1): the Betti numbers of O/I read off the staircase.
 
-    The socle counts the staircase monomials m with xm, ym and zm all outside
-    it, beta1 is the number of minimal generators, and the alternating sum of
-    the Betti numbers of a finite-length quotient vanishes.
+    The socle counts the staircase monomials m with xm, ym and zm all in the
+    ideal, beta1 is the number of minimal generators, and the alternating sum
+    of the Betti numbers of a finite-length quotient vanishes.
     """
-    staircase = set(gg.gamma)
     socle = sum(
         1
         for m in gg.gamma
-        if not any(ggraph.mono_mul(m, step) in staircase for step in mckay.COORD_EXPONENTS)
+        if all(gg.ideal.contains(ggraph.mono_mul(m, step)) for step in mckay.COORD_EXPONENTS)
     )
     beta1 = len(gg.ideal.gens)
     return (socle, beta1 + socle - 1, beta1, 1)

@@ -72,7 +72,7 @@ from ghilb.linalg import rank_sparse
 def hom_dim_dense(G: AbelianGroup, source: GGraph, target: GGraph) -> int:
     degree_cap = 3 * G.order
     ideal1, ideal2 = source.ideal, target.ideal
-    pos2 = target.char_to_gamma()
+    match = {G.char_index(m): m for m in target.gamma}
 
     monomials = [
         m
@@ -86,7 +86,7 @@ def hom_dim_dense(G: AbelianGroup, source: GGraph, target: GGraph) -> int:
     for w in monomials:
         if sum(w) == degree_cap:
             continue
-        image = target.gamma[pos2[G.char_index(w)]]
+        image = match[G.char_index(w)]
         for alpha in range(3):
             step = (int(alpha == 0), int(alpha == 1), int(alpha == 2))
             w_up = mono_mul(w, step)

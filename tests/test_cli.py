@@ -496,6 +496,29 @@ def test_betti_check_counts_the_fixed_points_enumerated(capsys, monkeypatch):
     assert checks["fixed_point_betti"]["status"] == "ok"
 
 
+@pytest.mark.parametrize("spec", ["7:1,2,4", "13:1,3,9"])
+def test_a_corrupted_character_table_is_named(capsys, monkeypatch, spec):
+    # fixed point 2 with the monomials of characters 1 and 2 swapped in its
+    # table: its chart and every Hom entry into it read that table, so both
+    # checks name it, and no other fixed point
+    real = ggraph.enumerate_fixed_points
+
+    def planted(G):
+        fps = real(G)
+        table = list(fps[2].by_char)
+        table[1], table[2] = table[2], table[1]
+        fps[2] = replace(fps[2], by_char=tuple(table))
+        return fps
+
+    monkeypatch.setattr(ggraph, "enumerate_fixed_points", planted)
+    code, out, _ = run(capsys, "verify", "--group", spec)
+    assert code == 1
+    checks = {c["name"]: c["details"] for c in json.loads(out)["checks"]}
+    assert [f["fixed_point"] for f in checks["charts_smooth_crepant"]["failures"]] == [2]
+    pairs = [f["pair"] for f in checks["hom_matrix"]["failures"]]
+    assert pairs and all(2 in pair for pair in pairs)
+
+
 def test_a_failed_hom_entry_is_named(capsys, monkeypatch):
     fps = get_fixed_points(SPEC)
     details = _planted_failures(

@@ -53,7 +53,7 @@ def test_is_ggraph_order_two_cases():
     gg = is_ggraph(G, ideal((2, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert gg is not None
     assert gg.gamma == ((0, 0, 0), (1, 0, 0))
-    assert gg.char_index == (0, 1)
+    assert gg.to_json()["characters"] == [0, 1]
     assert gg.kind == "A"
     assert gg.params == (1, 1, 1, 2, 1, 1)
 
@@ -171,10 +171,13 @@ def test_oracle_cap_enforced():
 @pytest.mark.parametrize("spec,order", SUITE_3D)
 def test_staircase_invariants(spec, order):
     G = get_group(spec)
-    for gg in get_fixed_points(spec):
+    for gg in get_fixed_points(spec) + brute_force_fixed_points(G, cap=16):
         assert (0, 0, 0) in gg.gamma
         assert (1, 1, 1) not in gg.gamma
-        assert len(set(gg.char_index)) == order
+        assert len(set(gg.to_json()["characters"])) == order
+        # the character table holds each character's one staircase monomial
+        assert all(G.char_index(gg.by_char[c]) == c for c in range(order))
+        assert sorted(gg.by_char) == list(gg.gamma)
         gamma_set = set(gg.gamma)
         for m in gg.gamma:
             assert min(m) == 0

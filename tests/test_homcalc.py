@@ -1,10 +1,16 @@
+from itertools import combinations
+
 import pytest
 
 from _oracles import hom_dim_dense
 from conftest import SUITE_3D, get_fixed_points, get_group
-from ghilb.homcalc import hom_constraints, hom_dim, hom_instance, hom_matrix
+from ghilb.ggraph import mono_lcm, mono_mul
+from ghilb.homcalc import hom_constraints, hom_dim, hom_matrix
 
-ORACLE_SPECS = [spec for spec, order in SUITE_3D if order <= 10]
+ORACLE_SPECS = [spec for spec, order in SUITE_3D if order <= 10] + [
+    "6:1,5,0",
+    "3:1,2,0;3:0,1,2",
+]
 
 
 def test_hom_matrix_involution_frozen():
@@ -23,13 +29,33 @@ def test_hom_matrix_is_two_i_plus_j(spec, order):
             assert mat[i][j] == mat[j][i]
 
 
-def test_hom_instance_targets_match_characters():
-    G = get_group("7:1,2,4")
-    fps = get_fixed_points("7:1,2,4")
-    inst = hom_instance(G, fps[0], fps[1])
-    for gen, target in zip(inst.gens, inst.targets):
-        assert G.char_index(gen) == G.char_index(target)
-        assert target in fps[1].gamma
+@pytest.mark.parametrize("spec", ["7:1,2,4", "3:1,2,0;3:0,1,2"])
+def test_hom_constraints_match_staircase_membership(spec):
+    # the rows on every ordered pair equal those of the staircase rule: the
+    # image (L/g) m(g), m(g) found by scanning gamma for g's character,
+    # survives exactly when it lies in gamma, and two survivors coincide
+    G = get_group(spec)
+    fps = get_fixed_points(spec)
+    for source in fps:
+        for target in fps:
+            gens = source.ideal.gens
+            staircase = set(target.gamma)
+            match = [
+                next(m for m in target.gamma if G.char_index(m) == G.char_index(g)) for g in gens
+            ]
+            want = []
+            for i, j in combinations(range(len(gens)), 2):
+                lcm = mono_lcm(gens[i], gens[j])
+                images = [
+                    mono_mul(match[k], tuple(a - b for a, b in zip(lcm, gens[k]))) for k in (i, j)
+                ]
+                row = {k: 1 for k, u in zip((i, j), images) if u in staircase}
+                if len(row) == 2:
+                    assert images[0] == images[1]
+                    row[j] = -1
+                if row:
+                    want.append(row)
+            assert hom_constraints(G, source, target) == want
 
 
 def _classes_from_rows(gens, rows):
@@ -62,17 +88,13 @@ def _classes_from_rows(gens, rows):
     return {tuple(sorted(v)): zero[root] for root, v in classes.items()}
 
 
-def _rows(G, source, target):
-    return hom_constraints(hom_instance(G, source, target))
-
-
 def test_diagonal_class_structure_order_seven():
     # on the diagonal the three pure powers survive as free scalars and the
     # mixed generators are all forced to zero
     G = get_group("7:1,2,4")
     gg = get_fixed_points("7:1,2,4")[0]
     assert hom_dim(G, gg, gg) == 3
-    classes = _classes_from_rows(gg.ideal.gens, _rows(G, gg, gg))
+    classes = _classes_from_rows(gg.ideal.gens, hom_constraints(G, gg, gg))
     free = [gens for gens, is_zero in classes.items() if not is_zero]
     assert len(free) == 3
     for gens in free:
@@ -87,7 +109,7 @@ def test_xyz_scalar_dies_off_diagonal():
         if (1, 1, 1) not in source.ideal.gens:
             continue
         assert hom_dim(G, source, target) == 1
-        classes = _classes_from_rows(source.ideal.gens, _rows(G, source, target))
+        classes = _classes_from_rows(source.ideal.gens, hom_constraints(G, source, target))
         for gens, is_zero in classes.items():
             if (1, 1, 1) in gens:
                 assert is_zero
@@ -112,7 +134,7 @@ def test_zero_marking_is_order_independent():
         fps = get_fixed_points(spec)
         for source in fps:
             for target in fps:
-                rows = _rows(G, source, target)
+                rows = hom_constraints(G, source, target)
                 expected = hom_dim(G, source, target)
                 rng = random.Random(99)
                 for _ in range(10):

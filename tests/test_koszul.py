@@ -51,8 +51,7 @@ CLOSED_FORM_SPECS = [spec for spec, _ in SUITE_3D] + [
 def _on_character_lines(gg, mats):
     """Matrices on the staircase basis of gg, reindexed so that row and
     column c belong to the staircase monomial of character c."""
-    line_of = gg.char_to_gamma()
-    order = [line_of[c] for c in range(len(gg.gamma))]
+    order = [gg.gamma.index(m) for m in gg.by_char]
     return tuple(tuple(tuple(mat[r][c] for c in order) for r in order) for mat in mats)
 
 
@@ -107,7 +106,7 @@ def test_fixed_point_rep_is_staircase_truncation():
         for k, gg in enumerate(get_fixed_points(spec)):
             rep = build_rep(get_charts(spec)[k], (0, 0, 0))
             b, _ = dense_matrices(rep)
-            index = dict(zip(gg.gamma, gg.char_index))
+            index = {m: c for c, m in enumerate(gg.by_char)}
             for alpha in range(3):
                 for mono, col in index.items():
                     up = list(mono)
