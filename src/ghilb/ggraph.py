@@ -18,7 +18,6 @@ where one of the mixed monomials fails to be a minimal generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .groups import AbelianGroup
 
@@ -111,14 +110,24 @@ class GGraph:
 
 
 def complement(ideal: MonomialIdeal) -> list[Monomial]:
-    """All monomials outside the ideal, sorted; requires a finite staircase."""
-    alpha, beta, gamma = ideal.pure_power_exponents()
-    out = [
-        m
-        for m in product(range(alpha), range(beta), range(gamma))
-        if not ideal.contains(m)
-    ]
-    return sorted(out)
+    """All monomials outside the ideal, sorted; requires a finite staircase.
+
+    Walks the (x, y) columns: x^i y^j z^k lies outside the ideal exactly
+    when k is below the column height, the least z-exponent among the
+    generators that divide x^i y^j (z^gamma divides every column).  Heights
+    only fall as j grows, so a row ends at its first column of height 0, and
+    the cells come out in sorted order.
+    """
+    alpha, beta, _ = ideal.pure_power_exponents()
+    out = []
+    for i in range(alpha):
+        row = [g for g in ideal.gens if g[0] <= i]
+        for j in range(beta):
+            height = min(g[2] for g in row if g[1] <= j)
+            if not height:
+                break
+            out.extend((i, j, k) for k in range(height))
+    return out
 
 
 def classify(G: AbelianGroup, by_char: tuple[Monomial, ...], ideal: MonomialIdeal):
@@ -222,8 +231,13 @@ def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
     and p, q >= 1.  A solution with c, e >= 1 needs K + p + q <= |G|, where
     K + p + q is ab + bf + df - b - f for kind A and ab + bf + df + a + d - 1
     for kind B; both force b*f <= |G|, so only such pairs (b, f) are listed.
-    Once (a, d) and a pair (b, f) passing the x-axis character match are
-    fixed, the solutions with c, e >= 1 are exactly
+    The search fixes alpha, and with it s = a + d = alpha + t - 1, then a
+    pair (b, f) passing the x-axis character match.  With d = s - a,
+    K + p + q = a*(b - f) + C, where C = bf + sf - b - f for kind A and
+    bf + sf + s - 1 for kind B, so the a in [1, s - 1] with
+    K + p + q <= |G| form an interval, found in O(1), and no other a can
+    have a solution.  Once a is fixed, the solutions with c, e >= 1 are
+    exactly
     c = (|G| - K - q*e) / p for the e >= 1 with q*e + p <= |G| - K for which
     the division is exact.  Walking e over that range visits every candidate
     of the parameter box that satisfies the identity, so the search is
@@ -248,12 +262,19 @@ def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
     for kind in ("A", "B"):
         delta = 1 if kind == "A" else 0
         t = 1 + delta
-        for a in range(1, N + 1):
-            for d in range(1, N + 1):
-                alpha = a + d - delta
-                if not 1 <= alpha <= N:
+        for alpha in range(1, N + 1):
+            s = alpha + delta
+            for b, f in pairs_by_char.get(cx[alpha], ()):
+                C = b * f + s * f + (-b - f if delta else s - 1)
+                lo, hi = 1, s - 1
+                if b > f:
+                    hi = min(hi, (N - C) // (b - f))
+                elif b < f:
+                    lo = max(lo, -((N - C) // (f - b)))
+                elif C > N:
                     continue
-                for b, f in pairs_by_char.get(cx[alpha], ()):
+                for a in range(lo, hi + 1):
+                    d = s - a
                     p = a + b + d - t
                     q = a + d + f - t
                     rest = N - (t * t - t * (a + b + d + f) + a * b + b * f + d * f)

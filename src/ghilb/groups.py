@@ -8,7 +8,10 @@ its pairing with the generator elements: #generators integers mod R.  Its
 public form is the value table (fingerprint) over the canonically ordered
 elements, entry k the exponent e of its value w^e at the k-th element, built
 once per character, so that equality of fingerprints is equality of
-characters; AbelianGroup.characters holds the fingerprints.
+characters; AbelianGroup.characters holds the fingerprints.  The product
+table char_add is built row by row: keys are added only for the rows of the
+characters of x, y and z, and every other row is a known row read through
+one of those three.
 """
 
 from __future__ import annotations
@@ -138,14 +141,6 @@ class AbelianGroup:
         self.characters: tuple[tuple[int, ...], ...] = tuple(fp_of_key[k] for k in keys)
         self.char_exponents: tuple[Triple, ...] = tuple(rep_of_key[k] for k in keys)
         index_of_key = {key: k for k, key in enumerate(keys)}
-        # Index table for products of characters, via key addition.
-        self.char_add: tuple[tuple[int, ...], ...] = tuple(
-            tuple(
-                index_of_key[tuple((a + b) % R for a, b in zip(key1, key2))]
-                for key2 in keys
-            )
-            for key1 in keys
-        )
         # Character index of x^j, y^j and z^j for j in [0, R).
         self._axis_index = tuple(
             tuple(
@@ -154,6 +149,26 @@ class AbelianGroup:
             )
             for (u1, u2, u3) in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         )
+        # Index table for products of characters, row by row: with shift the
+        # row of the character chi of x, y or z, built from keys once,
+        # row(c + chi)[j] = row(c)[shift[j]].  The walk starts at the trivial
+        # row, and the characters of x, y and z generate the character group.
+        shifts = [
+            tuple(index_of_key[tuple((a + b) % R for a, b in zip(keys[axis[1]], key))] for key in keys)
+            for axis in self._axis_index
+        ]
+        trivial = index_of_key[(0,) * len(gens)]
+        rows: list = [None] * self.order
+        rows[trivial] = tuple(range(self.order))
+        stack = [trivial]
+        while stack:
+            row = rows[stack.pop()]
+            for shift in shifts:
+                nxt = row[shift[trivial]]
+                if rows[nxt] is None:
+                    rows[nxt] = tuple(map(row.__getitem__, shift))
+                    stack.append(nxt)
+        self.char_add: tuple[tuple[int, ...], ...] = tuple(rows)
 
     # -- character operations -------------------------------------------------
 

@@ -11,7 +11,14 @@ elimination; no syzygy bookkeeping is shared with the production route.
 
 enumerate_fixed_points_scan and character_scan: the direct scans over the
 six-parameter box and over [0, R)^3 that the enumeration and the character
-table replace.  in_m, in_n and primitive_in_n: membership in M (e.g = 0 mod R
+table replace.  enumerate_fixed_points_ad_search: the solve of the counting
+identity over every (a, d) and every pair (b, f), against which the
+enumeration's interval of feasible a is checked.  complement_box_scan: the
+staircase as every cell of the alpha*beta*gamma box that no generator
+divides, against which ggraph.complement's column walk is checked.
+character_table_by_keys: the product table and the axis indices by adding
+character keys entry by entry, against which the group's row walk is
+checked.  in_m, in_n and primitive_in_n: membership in M (e.g = 0 mod R
 for every element g), and membership and primitivity in N = Z^3 + sum Z*g/R,
 held as R*N like the package's rays, straight from their definitions, against
 which the character table and the chart rays are checked with no basis of M
@@ -160,6 +167,70 @@ def enumerate_fixed_points_scan(G: AbelianGroup) -> list[GGraph]:
     return results
 
 
+def enumerate_fixed_points_ad_search(G: AbelianGroup) -> list[GGraph]:
+    """All torus-fixed points, by solving the counting identity for (c, e).
+
+    Every (a, d) with alpha = a + d - (1 if kind A else 0) in [1, |G|] is
+    tried against every pair (b, f), b*f <= |G|, passing the x-axis
+    character match; the e-range is empty unless K + p + q <= |G|.
+    """
+    N = G.order
+    ci = G.char_index
+    cx = [ci((k, 0, 0)) for k in range(N + 1)]
+    cy = [ci((0, k, 0)) for k in range(N + 1)]
+    cz = [ci((0, 0, k)) for k in range(N + 1)]
+    pairs_by_char: dict[int, list[tuple[int, int]]] = {}
+    for b in range(1, N + 1):
+        for f in range(1, N // b + 1):
+            pairs_by_char.setdefault(ci((0, b - 1, f - 1)), []).append((b, f))
+
+    seen = set()
+    results: list[GGraph] = []
+    for kind in ("A", "B"):
+        delta = 1 if kind == "A" else 0
+        t = 1 + delta
+        for a in range(1, N + 1):
+            for d in range(1, N + 1):
+                alpha = a + d - delta
+                if not 1 <= alpha <= N:
+                    continue
+                for b, f in pairs_by_char.get(cx[alpha], ()):
+                    p = a + b + d - t
+                    q = a + d + f - t
+                    rest = N - (t * t - t * (a + b + d + f) + a * b + b * f + d * f)
+                    for e in range(1, (rest - p) // q + 1):
+                        c, remainder = divmod(rest - q * e, p)
+                        if remainder:
+                            continue
+                        beta = b + e - delta
+                        gamma_exp = c + f - delta
+                        if not (1 <= beta <= N and 1 <= gamma_exp <= N):
+                            continue
+                        if cz[gamma_exp] != ci((a - 1, e - 1, 0)):
+                            continue
+                        if ci((d - 1, 0, c - 1)) != cy[beta]:
+                            continue
+                        ideal = MonomialIdeal.from_generators(
+                            seven_generators(kind, (a, b, c, d, e, f))
+                        )
+                        if ideal.gens in seen:
+                            continue
+                        seen.add(ideal.gens)
+                        gg = is_ggraph(G, ideal)
+                        if gg is not None:
+                            results.append(gg)
+    results.sort(key=lambda gg: gg.gamma)
+    return results
+
+
+def complement_box_scan(ideal: MonomialIdeal) -> list:
+    """The monomials of the alpha*beta*gamma box outside the ideal, sorted."""
+    alpha, beta, gamma = ideal.pure_power_exponents()
+    return sorted(
+        m for m in product(range(alpha), range(beta), range(gamma)) if not ideal.contains(m)
+    )
+
+
 def hook_staircases(r: int) -> list[tuple]:
     """The staircases of the r hooks of size r, sorted, as monomials in z = 0.
 
@@ -190,6 +261,30 @@ def character_scan(G: AbelianGroup):
         rep_of_fp.setdefault(fingerprint(G, e), e)
     fingerprints = sorted(rep_of_fp)
     return fingerprints, [rep_of_fp[fp] for fp in fingerprints]
+
+
+def character_table_by_keys(G: AbelianGroup):
+    """(char_add, axis_index) by adding keys, one key tuple per entry.
+
+    A character's key is its pairing with the generators mod R, read off
+    the exponent character_scan finds for it; characters are indexed as in
+    character_scan, char_add[i][j] is the index of key_i + key_j, and
+    axis_index[axis][j] the index of the key of x^j, y^j or z^j.
+    """
+    R = G.R
+    gens = G.generator_elements
+
+    def key(e):
+        return tuple(sum(u * g for u, g in zip(e, gen)) % R for gen in gens)
+
+    keys = [key(e) for e in character_scan(G)[1]]
+    index = {k: i for i, k in enumerate(keys)}
+    char_add = [[index[tuple((u + v) % R for u, v in zip(k1, k2))] for k2 in keys] for k1 in keys]
+    axis_index = [
+        [index[key(tuple(j * u for u in unit))] for j in range(R)]
+        for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    ]
+    return char_add, axis_index
 
 
 def in_m(G: AbelianGroup, e) -> bool:

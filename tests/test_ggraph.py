@@ -1,8 +1,13 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from _oracles import enumerate_fixed_points_scan, hook_staircases
+from _oracles import (
+    complement_box_scan,
+    enumerate_fixed_points_ad_search,
+    enumerate_fixed_points_scan,
+    hook_staircases,
+)
 from conftest import SUITE_3D, get_fixed_points, get_group
 from ghilb.ggraph import (
     GGraph,
@@ -41,6 +46,38 @@ def test_complement_seven_cell_staircase():
     assert got == sorted(
         [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1), (0, 0, 2)]
     )
+
+
+@st.composite
+def finite_ideals(draw):
+    """A finite monomial ideal held by its generators as drawn, not minimalized.
+
+    Pure powers on all three axes keep it finite; on top come arbitrary
+    monomials, among them xy-plane ones that end a row before beta, and
+    redundant ones: multiples of generators already drawn, which may be a
+    second pure power on an axis.
+    """
+    exponent = st.integers(min_value=0, max_value=6)
+    gens = [
+        (draw(st.integers(min_value=1, max_value=6)), 0, 0),
+        (0, draw(st.integers(min_value=1, max_value=6)), 0),
+        (0, 0, draw(st.integers(min_value=1, max_value=6))),
+    ]
+    gens += draw(st.lists(st.tuples(exponent, exponent, exponent), max_size=6))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=3)):
+        gens.append(tuple(u + draw(st.integers(min_value=0, max_value=2)) for u in g))
+    return MonomialIdeal(tuple(draw(st.permutations(gens))))
+
+
+# rows 1 and 2 end at y^1, before beta = 4
+@example(MonomialIdeal(((3, 0, 0), (0, 4, 0), (0, 0, 2), (1, 1, 0))))
+# a second x pure power, a generator's multiple and a duplicate
+@example(
+    MonomialIdeal(((4, 0, 0), (0, 0, 3), (3, 0, 0), (0, 2, 0), (1, 1, 1), (2, 1, 1), (0, 2, 0)))
+)
+@given(finite_ideals())
+def test_complement_column_walk_matches_box_scan(i):
+    assert complement(i) == complement_box_scan(i)
 
 
 def test_infinite_complement_detected():
@@ -161,6 +198,26 @@ def test_enumeration_matches_parameter_box_scan(spec):
     scan = [gg.to_json() for gg in enumerate_fixed_points_scan(get_group(spec))]
     assert fast == scan
     assert len(fast) == get_group(spec).order
+
+
+# Above the oracle cap: every cyclic order n in 19-53, with weights 1, w and
+# n - 1 - w for w = 2 + 3 (n mod 5), order 101, the 6x6 and 10x10 groups and
+# a three-generator group of order 27
+AD_SEARCH_SPECS = [f"{n}:1,{2 + n % 5 * 3},{n - 3 - n % 5 * 3}" for n in range(19, 54)] + [
+    "101:1,2,98",
+    "6:1,5,0;6:0,1,5",
+    "10:1,3,6;10:0,1,9",
+    "3:1,2,0;3:0,1,2;9:1,1,7",
+]
+
+
+@pytest.mark.parametrize("spec", AD_SEARCH_SPECS)
+def test_enumeration_matches_ad_search(spec):
+    # the feasible interval of a drops no solution of the full (a, d) x (b, f) search
+    G = get_group(spec)
+    fast = [gg.to_json() for gg in get_fixed_points(spec)]
+    assert fast == [gg.to_json() for gg in enumerate_fixed_points_ad_search(G)]
+    assert len(fast) == G.order
 
 
 def test_oracle_cap_enforced():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import character_scan, fingerprint
+from _oracles import character_scan, character_table_by_keys, fingerprint
 from conftest import SUITE_3D, get_group
 from ghilb.cli import main
 from ghilb.groups import AbelianGroup, GroupSpec, GroupSpecError
@@ -129,13 +129,15 @@ def test_junior_of_involution():
 
 @st.composite
 def small_specs(draw):
-    """Valid specs of one or two generators whose common exponent R is at most 12."""
+    """Valid specs whose common exponent R is at most 12: cyclic, cyclic with a zero weight, or of two or three generators."""
     R = draw(st.integers(min_value=2, max_value=12))
+    shape = draw(st.sampled_from(["cyclic", "zero weight", "two", "three"]))
+    count = {"two": 2, "three": 3}.get(shape, 1)
     chunks = []
-    for _ in range(draw(st.integers(min_value=1, max_value=2))):
-        r = draw(st.sampled_from([d for d in range(2, R + 1) if R % d == 0]))
-        w1 = draw(st.integers(min_value=0, max_value=r - 1))
-        w2 = draw(st.integers(min_value=0, max_value=r - 1))
+    for _ in range(count):
+        r = R if count == 1 else draw(st.sampled_from([d for d in range(2, R + 1) if R % d == 0]))
+        w1 = draw(st.integers(min_value=1 if shape == "zero weight" else 0, max_value=r - 1))
+        w2 = r - w1 if shape == "zero weight" else draw(st.integers(min_value=0, max_value=r - 1))
         chunks.append((r, w1, w2, (-w1 - w2) % r))
     assume(any(w1 or w2 for _, w1, w2, _ in chunks))
     return ";".join(f"{r}:{w1},{w2},{w3}" for r, w1, w2, w3 in chunks)
@@ -152,6 +154,10 @@ def test_characters_match_fingerprints_and_full_scan(data):
     fingerprints, exponents = character_scan(G)
     assert list(G.characters) == fingerprints
     assert list(G.char_exponents) == exponents
+    # the row-shift product table and the axis indices against key addition
+    char_add, axis_index = character_table_by_keys(G)
+    assert [list(row) for row in G.char_add] == char_add
+    assert [list(row) for row in G._axis_index] == axis_index
 
 
 @pytest.mark.parametrize(
