@@ -14,7 +14,6 @@ from .ggraph import (
     complement,
     enumerate_fixed_points,
     is_ggraph,
-    verify_count_identity,
 )
 from .groups import AbelianGroup, GroupSpec, GroupSpecError
 from .homcalc import hom_dim, hom_matrix
@@ -57,5 +56,4 @@ __all__ = [
     "quiver_dot",
     "verification_report",
     "verify_adhm",
-    "verify_count_identity",
 ]

@@ -71,12 +71,11 @@ def cmd_group(config: RunConfig) -> tuple[int, dict]:
 
 def cmd_quiver(config: RunConfig) -> tuple[int, dict]:
     G = _group(config)
-    a0, a1, a2, a3 = mckay.mckay_matrices(G)
-    dot = mckay.quiver_dot(G)
+    matrices = mckay.mckay_matrices(G)
     payload = {
-        "matrices": {"a0": a0, "a1": a1, "a2": a2, "a3": a3},
-        "intersection": mckay.intersection_matrix(G),
-        "dot": dot,
+        "matrices": dict(zip(("a0", "a1", "a2", "a3"), matrices)),
+        "intersection": mckay.intersection_matrix(matrices),
+        "dot": mckay.quiver_dot(G, matrices),
     }
     return 0, payload
 
@@ -86,10 +85,7 @@ def cmd_fixed_points(config: RunConfig) -> tuple[int, dict]:
     fps = ggraph.enumerate_fixed_points(G)
     payload = {
         "count": len(fps),
-        "fixed_points": [
-            {**gg.to_json(), "count_identity": ggraph.verify_count_identity(gg)}
-            for gg in fps
-        ],
+        "fixed_points": [gg.to_json() for gg in fps],
     }
     if G.order <= config.oracle_cap:
         agree, _ = ggraph.oracle_agreement(G, fps, config.oracle_cap)

@@ -89,7 +89,10 @@ class MonomialIdeal:
 class GGraph:
     """A torus-fixed ideal with its staircase, character table and classification.
 
-    gamma is sorted, and by_char[c] is the staircase monomial of character c.
+    gamma is the staircase sorted, and by_char[c] is its monomial of
+    character c.  Both are kept: complement's column walk yields gamma
+    sorted for free, and that order sorts the fixed points and the JSON,
+    while deriving it from by_char would cost a sort per fixed point.
     """
 
     gamma: tuple[Monomial, ...]
@@ -203,27 +206,14 @@ def seven_generators(kind: str, params) -> tuple[Monomial, ...]:
     )
 
 
-def count_identity_value(kind: str, params) -> int:
-    """Predicted group order from the classification parameters."""
-    a, b, c, d, e, f = params
-    total = a + b + c + d + e + f
-    quad = a * b + a * c + a * e + b * c + b * f + d * c + d * e + d * f + e * f
-    if kind == "A":
-        return 4 - 2 * total + quad
-    return 1 - total + quad
-
-
-def verify_count_identity(gg: GGraph) -> bool:
-    return count_identity_value(gg.kind, gg.params) == len(gg.gamma)
-
-
 def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
     """All torus-fixed points, by solving the counting identity for (c, e).
 
     The staircase of a fixed point contains 1, x, ..., x^(alpha-1) with
     pairwise distinct characters, so alpha, beta, gamma are at most |G| and
-    every parameter lies in [1, |G|].  The counting identity has no c*e
-    term: with t = 2 for kind A and t = 1 for kind B it reads
+    every parameter lies in [1, |G|].  The counting identity, |G| = the
+    determinant of the chart exponents (toric.chart_dual_generators), has
+    no c*e term: with t = 2 for kind A and t = 1 for kind B it reads
 
         |G| = K + p*c + q*e,  p = a+b+d-t,  q = a+d+f-t,
         K = t^2 - t*(a+b+d+f) + ab + bf + df,
@@ -241,8 +231,8 @@ def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
     c = (|G| - K - q*e) / p for the e >= 1 with q*e + p <= |G| - K for which
     the division is exact.  Walking e over that range visits every candidate
     of the parameter box that satisfies the identity, so the search is
-    exhaustive.  K + p*c + q*e is count_identity_value expanded, so each
-    solution satisfies the identity by construction; it must still pass the
+    exhaustive.  K + p*c + q*e is that determinant expanded, so each
+    solution's chart has det = |G| by construction; it must still pass the
     ranges of beta and gamma and the two remaining character matches.
     Candidates are deduplicated on the minimal generators of the resulting
     ideal, whose staircase is revalidated by is_ggraph.

@@ -8,10 +8,10 @@ its pairing with the generator elements: #generators integers mod R.  Its
 public form is the value table (fingerprint) over the canonically ordered
 elements, entry k the exponent e of its value w^e at the k-th element, built
 once per character, so that equality of fingerprints is equality of
-characters; AbelianGroup.characters holds the fingerprints.  The product
-table char_add is built row by row: keys are added only for the rows of the
-characters of x, y and z, and every other row is a known row read through
-one of those three.
+characters; AbelianGroup.characters holds the fingerprints.  The McKay
+arrows c -> c + chi_alpha of x, y and z (AbelianGroup.arrows) are the only
+rows built by adding keys; the product table char_add is built row by row,
+every other row being a known row read through one of those three.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from math import lcm
 
 Triple = tuple[int, int, int]
+COORD_EXPONENTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 class GroupSpecError(ValueError):
@@ -147,23 +148,24 @@ class AbelianGroup:
                 index_of_key[self._pairing((j * u1, j * u2, j * u3), gens)]
                 for j in range(R)
             )
-            for (u1, u2, u3) in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+            for (u1, u2, u3) in COORD_EXPONENTS
         )
-        # Index table for products of characters, row by row: with shift the
-        # row of the character chi of x, y or z, built from keys once,
-        # row(c + chi)[j] = row(c)[shift[j]].  The walk starts at the trivial
-        # row, and the characters of x, y and z generate the character group.
-        shifts = [
+        # The McKay arrows, built from keys once: arrows[alpha][c] is
+        # c + chi_alpha, chi_alpha the character of x, y or z.
+        self.arrows: tuple[tuple[int, ...], ...] = tuple(
             tuple(index_of_key[tuple((a + b) % R for a, b in zip(keys[axis[1]], key))] for key in keys)
             for axis in self._axis_index
-        ]
+        )
+        # Index table for products of characters, row by row: with shift the
+        # arrows of chi, row(c + chi)[j] = row(c)[shift[j]].  The walk starts
+        # at the trivial row, and chi_x, chi_y, chi_z generate the characters.
         trivial = index_of_key[(0,) * len(gens)]
         rows: list = [None] * self.order
         rows[trivial] = tuple(range(self.order))
         stack = [trivial]
         while stack:
             row = rows[stack.pop()]
-            for shift in shifts:
+            for shift in self.arrows:
                 nxt = row[shift[trivial]]
                 if rows[nxt] is None:
                     rows[nxt] = tuple(map(row.__getitem__, shift))

@@ -7,7 +7,7 @@ of the McKay quiver, chi_alpha being the character of x_alpha, and the
 cyclic vector i spans the line of the trivial character 0.  A module is
 held in exactly that form (``ModuleRep``): one coefficient per arrow over
 one positive denominator, indexed by character the same way for every
-module of G, with the arrow targets one table per group (``shifts``).
+module of G, with the arrow targets one table per group (``G.arrows``).
 
 At a chart point with coordinates (lambda, mu, nu), line c is spanned by the
 staircase monomial m of character c, and the coefficient of its arrow along
@@ -70,17 +70,11 @@ from typing import Callable, NamedTuple
 from . import linalg, toric
 from .ggraph import GGraph
 from .groups import AbelianGroup
-from .mckay import COORD_EXPONENTS
 
 WEDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
 # Sign of x_gamma ^ (x_alpha ^ x_beta) against x ^ y ^ z, per wedge pair.
 WEDGE_SIGNS = (1, -1, 1)
 NOT_COMMUTING = "multiplication matrices do not commute, so the differentials are no complex"
-
-
-def shifts(G: AbelianGroup) -> tuple[tuple[int, ...], ...]:
-    """The McKay arrows of x, y and z: shifts(G)[alpha][c] is c + chi_alpha."""
-    return tuple(G.char_add[G.char_index(e)] for e in COORD_EXPONENTS)
 
 
 class Chart(NamedTuple):
@@ -101,7 +95,7 @@ class Chart(NamedTuple):
 class ModuleRep:
     """A module of G, built at the point coords of a fixed point's chart.
 
-    B_alpha sends line c to line shifts(G)[alpha][c] with coefficient
+    B_alpha sends line c to line group.arrows[alpha][c] with coefficient
     coeffs[alpha][c] / denominator, and the cyclic vector spans line 0.
     build_rep gives int numerators over a positive int denominator D.  The
     checks on one module read the numerators as they are, since D cancels:
@@ -119,7 +113,7 @@ class ModuleRep:
     @cached_property
     def commutes(self) -> bool:
         """Whether the three B's commute, checked once per module."""
-        arrows = list(zip(self.coeffs, shifts(self.group)))
+        arrows = list(zip(self.coeffs, self.group.arrows))
         for alpha, beta in WEDGE_PAIRS:
             (ca, sa), (cb, sb) = arrows[alpha], arrows[beta]
             if any(ca[c] * cb[sa[c]] != cb[c] * ca[sb[c]] for c in range(len(ca))):
@@ -140,7 +134,7 @@ def chart(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> Chart:
     heights = [[sum(p * r for p, r in zip(m, ray)) for ray in rays] for m in gg.by_char]
     slot_of: dict = {}
     slots = []
-    for alpha, shift in enumerate(shifts(G)):
+    for alpha, shift in enumerate(G.arrows):
         column = []
         for c, target in enumerate(shift):
             exponents = []
@@ -196,7 +190,7 @@ def krylov_dim(rep: ModuleRep) -> int:
     from line 0 along arrows with nonzero coefficients: a breadth-first
     search.
     """
-    arrows = list(zip(rep.coeffs, shifts(rep.group)))
+    arrows = list(zip(rep.coeffs, rep.group.arrows))
     seen = {0}
     queue = [0]
     while queue:
@@ -228,8 +222,7 @@ def support_check(G: AbelianGroup, rep: ModuleRep) -> bool:
     if not all_b_invertible(rep):
         return False
     R = G.R
-    arrows = shifts(G)
-    for cs, shift in zip(rep.coeffs, arrows):
+    for cs, shift in zip(rep.coeffs, G.arrows):
         scalars = set()
         seen = [False] * len(cs)
         for start in range(len(cs)):
@@ -245,7 +238,7 @@ def support_check(G: AbelianGroup, rep: ModuleRep) -> bool:
             scalars.add(product ** (R // length))
         if len(scalars) != 1:
             return False
-    (cx, cy, cz), (_, sy, sz) = rep.coeffs, arrows
+    (cx, cy, cz), (_, sy, sz) = rep.coeffs, G.arrows
     return len({cz[c] * cy[sz[c]] * cx[sy[sz[c]]] for c in range(len(cx))}) == 1
 
 
@@ -346,7 +339,7 @@ def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep) -> C
         g = gcd(den1, den2)
         b1 = [[c * (den2 // g) for c in cs] for cs in b1]
         b2 = [[c * (den1 // g) for c in cs] for cs in b2]
-    shift = shifts(G)
+    shift = G.arrows
     n = G.order
 
     # d3: Hom -> three blocks.

@@ -4,7 +4,9 @@ For each wedge degree i the matrix a^(i) counts, per pair of characters
 (k, l), the i-element subsets S of {x, y, z} whose character product moves
 rho_l to rho_k.  Degree 0 and 3 give the identity because the group sits in
 SL3.  The antisymmetrized difference a^(2) - a^(1) is the intersection
-pairing of the dual compact classes.
+pairing of the dual compact classes.  The matrices compose the group's
+McKay arrows (AbelianGroup.arrows); the intersection matrix and the DOT
+source are read off them, not rebuilt.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from itertools import combinations
 
 from .groups import AbelianGroup
-
-COORD_EXPONENTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def mckay_matrices(G: AbelianGroup):
@@ -24,30 +24,28 @@ def mckay_matrices(G: AbelianGroup):
     McKay quiver.
     """
     n = G.order
-    coord = [G.char_index(e) for e in COORD_EXPONENTS]
     mats = []
     for i in range(4):
         mat = [[0] * n for _ in range(n)]
-        for subset in combinations(range(3), i):
-            shift = 0
-            for alpha in subset:
-                shift = G.char_add[shift][coord[alpha]]
+        for subset in combinations(G.arrows, i):
             for l in range(n):
-                mat[G.char_add[shift][l]][l] += 1
+                k = l
+                for arrow in subset:
+                    k = arrow[k]
+                mat[k][l] += 1
         mats.append(mat)
     return tuple(mats)
 
 
-def intersection_matrix(G: AbelianGroup) -> list[list[int]]:
-    """a^(2) - a^(1): the antisymmetric pairing matrix of the dual classes."""
-    _, a1, a2, _ = mckay_matrices(G)
-    n = G.order
-    return [[a2[k][l] - a1[k][l] for l in range(n)] for k in range(n)]
+def intersection_matrix(matrices) -> list[list[int]]:
+    """a^(2) - a^(1) of mckay_matrices: the antisymmetric pairing of the dual classes."""
+    _, a1, a2, _ = matrices
+    return [[x2 - x1 for x1, x2 in zip(r1, r2)] for r1, r2 in zip(a1, a2)]
 
 
-def quiver_dot(G: AbelianGroup) -> str:
-    """DOT source for the McKay quiver, one parallel edge per tensor count."""
-    _, a1, _, _ = mckay_matrices(G)
+def quiver_dot(G: AbelianGroup, matrices) -> str:
+    """DOT source for the McKay quiver, one parallel edge per count of a^(1)."""
+    _, a1, _, _ = matrices
     n = G.order
     lines = ["digraph mckay {"]
     for k in range(n):

@@ -9,7 +9,9 @@ chart whose coordinates lambda, mu, nu are invariant Laurent monomials; the
 basis dual to their exponents spans the chart cone.  Three invariant
 exponents with |det| = |G| are a basis of M, so their dual rays are a basis
 of N: that is smoothness, and crepancy is every ray sitting at lattice
-height one (nonnegative coordinates of R*ray summing to R).  ``layers`` runs
+height one (nonnegative coordinates of R*ray summing to R).  The check is
+signed, det = |G|: in the kind A/B parameters det is the polynomial of the
+counting identity, so this one check is that identity too.  ``layers`` runs
 the chain from the chart cones to the glued fan, recording where it fails.
 """
 
@@ -91,7 +93,7 @@ def dual_rays(dual_gens, R: int) -> tuple[Vector, Vector, Vector]:
     """Rays of the chart cone, as R*ray: the basis dual to the chart exponents.
 
     That basis is adj(gens)^T / det, so R*ray_i is R * adj[.][i] / det.  When
-    the exponents are invariant with |det| = |G|, they are a basis of M and
+    the exponents are invariant with det = |G|, they are a basis of M and
     the rays a basis of N, inside (1/R) Z^3, so det divides R*adj entrywise
     and the division is exact.  Each R*ray must have nonnegative coordinates
     summing to R; a violation is a failure of crepancy and raised loudly.
@@ -118,10 +120,8 @@ def chart_cone(G: AbelianGroup, gg: GGraph, owner: int) -> ChartCone:
                 f"chart exponent {v} is not invariant; the staircase is misclassified"
             )
     det = linalg.det3(gens)
-    if abs(det) != G.order:
-        raise ChartError(
-            f"chart of fixed point {owner} has |det| = {abs(det)}, expected {G.order}"
-        )
+    if det != G.order:
+        raise ChartError(f"chart of fixed point {owner} has det = {det}, expected {G.order}")
     rays = dual_rays(gens, G.R)
     return ChartCone(owner=owner, dual_gens=gens, rays=rays)
 

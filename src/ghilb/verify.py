@@ -1,29 +1,31 @@
 """One-shot verification suite for a single group.
 
-The report holds nine checks, in this order: fixed_point_count,
+The report holds eight checks, in this order: fixed_point_count,
 oracle_agreement (the enumeration against the brute-force oracle),
-count_identity, charts_smooth_crepant, fan, hom_matrix, koszul_pairs
-(exact homology over the fixed-point pairs), fixed_point_betti and
-chart_samples.  Of the pairs (i, j) and (j, i), only the first met is
-ranked: Serre duality makes the other's homology the reversed tuple, and
-it is reported and counted in checked as a pair of its own
-(_koszul_pairs_check).  The wedge complex of each fixed-point module must
-have the Betti table of the enumerated ideal as its homology
-(fixed_point_betti).  Each chart sample is checked for the ADHM-style
-relations and, through koszul.support_check, support on one free orbit;
-samples 0 and 1 of one chart must have an exact pair complex.
+charts_smooth_crepant, fan, hom_matrix, koszul_pairs (exact homology over
+the fixed-point pairs), fixed_point_betti and chart_samples.  The counting
+identity of each fixed point is the signed determinant check of its chart
+cone (toric.chart_cone), so charts_smooth_crepant names a fixed point that
+fails it.  Of the pairs (i, j) and (j, i), only the first met is ranked:
+Serre duality makes the other's homology the reversed tuple, and it is
+reported and counted in checked as a pair of its own (_koszul_pairs_check).
+The wedge complex of each fixed-point module must have the Betti table of
+the enumerated ideal as its homology (fixed_point_betti).  Each chart
+sample is checked for the ADHM-style relations and, through
+koszul.support_check, support on one free orbit; samples 0 and 1 of one
+chart must have an exact pair complex.
 What holds by construction is not checked: the identities of the wedge
 matrices (tests/test_mckay.py pins them) and the ADHM relations of the
 fixed-point modules (_chart_samples_check).
 
-The six checks over many objects (count_identity, charts_smooth_crepant,
-hom_matrix, koszul_pairs, fixed_point_betti, chart_samples) share one
-details form, {"checked", "total", "failures"}: how many objects were
-checked out of how many, and one record per failing object only.  A
-record names its object (fixed_point k, pair [i, j], and for a chart
-sample also sample s, or [0, 1] for the pair of samples) with the value
-"found" and the value "expected", or for a chart with the "error" that
-rejected its cone or its table.  The number of fixed points is written
+The five checks over many objects (charts_smooth_crepant, hom_matrix,
+koszul_pairs, fixed_point_betti, chart_samples) share one details form,
+{"checked", "total", "failures"}: how many objects were checked out of how
+many, and one record per failing object only.  A record names its object
+(fixed_point k, pair [i, j], and for a chart sample also sample s, or
+[0, 1] for the pair of samples) with the value "found" and the value
+"expected", or for a chart with the "error" that rejected its cone or its
+table.  The number of fixed points is written
 once, as the count of fixed_point_count; oracle_agreement's details are
 {"oracle": the number the oracle found}, or {} when it is skipped.
 
@@ -38,8 +40,8 @@ from __future__ import annotations
 
 import random
 
-from . import ggraph, homcalc, koszul, mckay, toric
-from .groups import AbelianGroup
+from . import ggraph, homcalc, koszul, toric
+from .groups import COORD_EXPONENTS, AbelianGroup
 
 HOM_DIAGONAL = 3
 HOM_OFF_DIAGONAL = 1
@@ -96,11 +98,6 @@ def verification_report(
                 "details": {},
             }
         )
-
-    failures: list[dict] = []
-    for k, gg in enumerate(fps):
-        _compare(failures, ggraph.verify_count_identity(gg), True, fixed_point=k)
-    checks.append(_per_object("count_identity", len(fps), len(fps), failures))
 
     layers = toric.layers(G, fps)
     errors = dict(layers.cone_errors)
@@ -213,7 +210,7 @@ def betti_table(gg: ggraph.GGraph) -> tuple[int, int, int, int]:
     socle = sum(
         1
         for m in gg.gamma
-        if all(gg.ideal.contains(ggraph.mono_mul(m, step)) for step in mckay.COORD_EXPONENTS)
+        if all(gg.ideal.contains(ggraph.mono_mul(m, step)) for step in COORD_EXPONENTS)
     )
     beta1 = len(gg.ideal.gens)
     return (socle, beta1 + socle - 1, beta1, 1)

@@ -9,13 +9,17 @@ every pairwise lcm of the generators.  The dimension of the solution space
 is the nullity of the constraint matrix, computed by exact sparse
 elimination; no syzygy bookkeeping is shared with the production route.
 
-enumerate_fixed_points_scan and character_scan: the direct scans over the
-six-parameter box and over [0, R)^3 that the enumeration and the character
-table replace.  enumerate_fixed_points_ad_search: the solve of the counting
-identity over every (a, d) and every pair (b, f), against which the
-enumeration's interval of feasible a is checked.  complement_box_scan: the
-staircase as every cell of the alpha*beta*gamma box that no generator
-divides, against which ggraph.complement's column walk is checked.
+count_identity_value: the counting identity's polynomial in the kind A/B
+parameters, which the determinant of the chart exponents
+(toric.chart_dual_generators) equals and toric.chart_cone checks against
+|G|.  enumerate_fixed_points_scan and character_scan: the direct scans over
+the six-parameter box and over [0, R)^3 that the enumeration and the
+character table replace.  enumerate_fixed_points_ad_search: the solve of
+the counting identity over every (a, d) and every pair (b, f), against
+which the enumeration's interval of feasible a is checked.
+complement_box_scan: the staircase as every cell of the alpha*beta*gamma
+box that no generator divides, against which ggraph.complement's column
+walk is checked.
 character_table_by_keys: the product table and the axis indices by adding
 character keys entry by entry, against which the group's row walk is
 checked.  in_m, in_n and primitive_in_n: membership in M (e.g = 0 mod R
@@ -48,7 +52,7 @@ build_rep gives, since its rank kernel takes only int rows.
 
 Every module below is read on character lines, line c spanned by the
 staircase monomial of character c, with its own McKay arrows (arrows), not
-koszul.shifts.  dense_matrices and module_from_dense: a module's dense
+AbelianGroup.arrows.  dense_matrices and module_from_dense: a module's dense
 matrices and cyclic vector, and the module of one coefficient per arrow read
 back from dense matrices, which refuses an entry off its arrow; through them
 tests build corrupted modules entry by entry.  support_check_walk: the
@@ -65,14 +69,13 @@ from math import gcd, lcm
 from ghilb.ggraph import (
     GGraph,
     MonomialIdeal,
-    count_identity_value,
     is_ggraph,
     mono_divides,
     mono_mul,
     seven_generators,
 )
-from ghilb.groups import AbelianGroup
-from ghilb.koszul import COORD_EXPONENTS, Chart, Complex, ModuleRep
+from ghilb.groups import COORD_EXPONENTS, AbelianGroup
+from ghilb.koszul import Chart, Complex, ModuleRep
 from ghilb.linalg import rank_sparse
 
 
@@ -108,6 +111,16 @@ def _monomials_of_degree(total: int):
     for l in range(total + 1):
         for m in range(total + 1 - l):
             yield (l, m, total - l - m)
+
+
+def count_identity_value(kind: str, params) -> int:
+    """Predicted group order from the classification parameters."""
+    a, b, c, d, e, f = params
+    total = a + b + c + d + e + f
+    quad = a * b + a * c + a * e + b * c + b * f + d * c + d * e + d * f + e * f
+    if kind == "A":
+        return 4 - 2 * total + quad
+    return 1 - total + quad
 
 
 def enumerate_fixed_points_scan(G: AbelianGroup) -> list[GGraph]:

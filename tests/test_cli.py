@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import count_identity_value
 from conftest import get_charts, get_fixed_points, get_group
-from ghilb import ggraph, homcalc, koszul, verify
+from ghilb import ggraph, homcalc, koszul, mckay, verify
 from ghilb.cli import console_main, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,13 +43,20 @@ def test_quiver_command(capsys, tmp_path):
     assert dot_path.read_text().startswith("digraph mckay {")
 
 
+def test_quiver_builds_its_matrices_once(capsys, monkeypatch):
+    calls = []
+    real = mckay.mckay_matrices
+    monkeypatch.setattr(mckay, "mckay_matrices", lambda G: calls.append(G) or real(G))
+    assert run(capsys, "quiver", "--group", "7:1,2,4")[0] == 0
+    assert len(calls) == 1
+
+
 def test_fixed_points_command(capsys):
     code, out, _ = run(capsys, "fixed-points", "--group", "2:1,1,0;2:1,0,1")
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 4
     assert payload["oracle_agreement"] is True
-    assert all(fp["count_identity"] for fp in payload["fixed_points"])
 
 
 def test_fan_command(capsys):
@@ -560,20 +568,45 @@ def test_a_failed_chart_sample_is_named(capsys, monkeypatch):
     }
 
 
+def _misclassified(monkeypatch, capsys, fault):
+    """verify on SPEC with classify's parameters passed through fault; the chart check's details."""
+    real = ggraph.classify
+
+    def planted(G, by_char, ideal):
+        kind, params = real(G, by_char, ideal)
+        return kind, fault(params)
+
+    return _planted_failures(capsys, monkeypatch, ggraph, "classify", planted)["charts_smooth_crepant"]
+
+
 def test_a_failed_count_identity_is_named(capsys, monkeypatch):
-    fps = get_fixed_points(SPEC)
-    details = _planted_failures(
-        capsys,
-        monkeypatch,
-        ggraph,
-        "verify_count_identity",
-        lambda gg: False if gg == fps[0] else None,
-    )
-    assert details["count_identity"] == {
-        "checked": 7,
-        "total": 7,
-        "failures": [{"fixed_point": 0, "found": False, "expected": True}],
-    }
+    # a + 1 changes the counting identity's value by b + c + e - 2 (kind A)
+    # or b + c + e - 1 (kind B), never 0: every fixed point fails it, and
+    # the chart determinant, which is that identity, names every one
+    def a_plus_one(params):
+        a, b, c, d, e, f = params
+        return (a + 1, b, c, d, e, f)
+
+    details = _misclassified(monkeypatch, capsys, a_plus_one)
+    assert details["checked"] == details["total"] == 7
+    assert [record["fixed_point"] for record in details["failures"]] == list(range(7))
+
+
+def test_swapped_parameters_are_named_where_they_break_the_count_identity(capsys, monkeypatch):
+    # swapping b and f changes the identity's value by (b - f)(a + c - d - e):
+    # every fixed point where that is not 0 must be named
+    def b_f_swapped(params):
+        a, b, c, d, e, f = params
+        return (a, f, c, d, e, b)
+
+    broken = [
+        k
+        for k, gg in enumerate(get_fixed_points(SPEC))
+        if count_identity_value(gg.kind, b_f_swapped(gg.params)) != 7
+    ]
+    assert broken
+    details = _misclassified(monkeypatch, capsys, b_f_swapped)
+    assert set(broken) <= {record["fixed_point"] for record in details["failures"]}
 
 
 def _rescaled_arrow(rep):
@@ -591,7 +624,7 @@ def _cut_socle_line(rep):
     line = rep.group.char_index((0, 1, 1))
     coeffs = tuple(
         [0 if target == line else v for v, target in zip(cs, shift)]
-        for cs, shift in zip(rep.coeffs, koszul.shifts(rep.group))
+        for cs, shift in zip(rep.coeffs, rep.group.arrows)
     )
     return replace(rep, coeffs=coeffs)
 

@@ -44,7 +44,7 @@ def test_alternating_tensor_sum_is_intersection_matrix(spec):
     alternating = [
         [a0[k][l] - a1[k][l] + a2[k][l] - a3[k][l] for l in range(n)] for k in range(n)
     ]
-    assert alternating == intersection_matrix(G)
+    assert alternating == intersection_matrix((a0, a1, a2, a3))
 
 
 @settings(max_examples=40, deadline=None)

@@ -158,6 +158,8 @@ def test_characters_match_fingerprints_and_full_scan(data):
     char_add, axis_index = character_table_by_keys(G)
     assert [list(row) for row in G.char_add] == char_add
     assert [list(row) for row in G._axis_index] == axis_index
+    # the McKay arrows are the rows of the characters of x, y and z
+    assert [list(row) for row in G.arrows] == [char_add[axis[1]] for axis in axis_index]
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,6 @@ from ghilb.koszul import (
     koszul_homology,
     krylov_dim,
     sample_chart_points,
-    shifts,
     support_check,
     verify_adhm,
 )
@@ -316,7 +315,7 @@ def _planted(rep, alpha, col, kind):
         cs[col] = 0
     else:
         cs[col] *= 2
-        coeffs[alpha + 1][shifts(rep.group)[alpha + 1].index(col)] /= Fraction(2)
+        coeffs[alpha + 1][rep.group.arrows[alpha + 1].index(col)] /= Fraction(2)
     return replace(rep, coeffs=tuple(coeffs))
 
 
@@ -580,7 +579,7 @@ def _assert_serre_dual(G, rep_i, rep_j):
     """Row (alpha, c) of d3(i, j) is s_alpha times column (p, c + chi_alpha) of
     d1(j, i), where p is the wedge pair without alpha and s = DUALITY_SIGNS:
     the complex of (j, i) is the dual of that of (i, j), read backwards."""
-    n, shift = G.order, shifts(G)
+    n, shift = G.order, G.arrows
     d3 = koszul_differentials(G, rep_i, rep_j).d3
     d1 = koszul_differentials(G, rep_j, rep_i).d1
     for alpha, sign in enumerate(DUALITY_SIGNS):

@@ -64,35 +64,38 @@ def test_alternating_sum_rows_vanish(spec, order):
 
 def test_intersection_matrix_frozen_cases():
     # 1/3(1,1,1): all three coordinates shift by the same character
-    assert intersection_matrix(get_group("3:1,1,1")) == [
+    assert intersection_matrix(mckay_matrices(get_group("3:1,1,1"))) == [
         [0, 3, -3],
         [-3, 0, 3],
         [3, -3, 0],
     ]
     # 1/2(1,1,0): a1 is symmetric, so the pairing vanishes
-    assert intersection_matrix(get_group("2:1,1,0")) == [[0, 0], [0, 0]]
+    assert intersection_matrix(mckay_matrices(get_group("2:1,1,0"))) == [[0, 0], [0, 0]]
 
 
 @pytest.mark.parametrize("spec,order", SUITE_3D)
 def test_intersection_matrix_antisymmetric(spec, order):
-    mat = intersection_matrix(get_group(spec))
+    mat = intersection_matrix(mckay_matrices(get_group(spec)))
     for i in range(order):
         for j in range(order):
             assert mat[i][j] == -mat[j][i]
 
 
 def test_quiver_dot_counts():
-    dot = quiver_dot(get_group("7:1,2,4"))
+    G = get_group("7:1,2,4")
+    dot = quiver_dot(G, mckay_matrices(G))
     assert dot.startswith("digraph mckay {")
     assert dot.count("[label=") == 7
     assert dot.count("->") == 21
-    dot2 = quiver_dot(get_group("2:1,1,0"))
+    G = get_group("2:1,1,0")
+    dot2 = quiver_dot(G, mckay_matrices(G))
     assert dot2.count("->") == 6
 
 
 @pytest.mark.parametrize("spec,order", SUITE_3D)
 def test_quiver_arrow_count_is_three_per_vertex(spec, order):
-    assert quiver_dot(get_group(spec)).count("->") == 3 * order
+    G = get_group(spec)
+    assert quiver_dot(G, mckay_matrices(G)).count("->") == 3 * order
 
 
 def cartan_2d(r):

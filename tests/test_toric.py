@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import in_m, in_n, mat_mul, primitive_in_n
+from _oracles import count_identity_value, in_m, in_n, mat_mul, primitive_in_n
 from conftest import SUITE_3D, get_cones, get_fixed_points, get_group
 from ghilb import linalg, toric
+from ghilb.ggraph import GGraph, MonomialIdeal
 from ghilb.toric import (
     ChartError,
     FanError,
@@ -82,7 +83,7 @@ def test_all_charts_smooth_and_crepant(spec, order):
     G = get_group(spec)
     for cone in get_cones(spec):
         assert all(G.char_index(v) == 0 for v in cone.dual_gens)
-        assert abs(linalg.det3(cone.dual_gens)) == order
+        assert linalg.det3(cone.dual_gens) == order
         for ray in cone.rays:
             assert sum(ray) == G.R
             assert all(x >= 0 for x in ray)
@@ -102,10 +103,35 @@ def test_corrupted_cone_fails_smoothness(monkeypatch):
     # y^3 is invariant, so the exponents stay invariant but stop spanning M
     corrupted = (cone.dual_gens[0], (v[0], v[1] + 3, v[2]), cone.dual_gens[2])
     assert all(G.char_index(v) == 0 for v in corrupted)
-    assert abs(linalg.det3(corrupted)) != G.order
+    det = linalg.det3(corrupted)
+    assert abs(det) != G.order
     _plant_generators(monkeypatch, corrupted)
-    with pytest.raises(ChartError, match=r"\|det\|"):
+    with pytest.raises(ChartError, match=rf"chart of fixed point 0 has det = {det}, expected 3$"):
         chart_cone(G, get_fixed_points("3:1,1,1")[0], owner=0)
+
+
+@given(kind=st.sampled_from("AB"), params=st.tuples(*[st.integers(-60, 60)] * 6))
+def test_chart_determinant_is_the_count_identity(kind, params):
+    # the polynomial identity that lets chart_cone's det = |G| stand for
+    # the counting identity: no separate check of it is needed
+    gg = GGraph(gamma=(), ideal=MonomialIdeal(()), by_char=(), kind=kind, params=params)
+    assert linalg.det3(chart_dual_generators(gg)) == count_identity_value(kind, params)
+
+
+@pytest.mark.parametrize("spec,order", SUITE_3D)
+def test_chart_of_determinant_minus_order_is_refused(spec, order, monkeypatch):
+    # two exponents swapped still span M, |det| = |G|, and dual to the same
+    # cone's rays; only the sign shows the counting identity broken
+    G = get_group(spec)
+    for cone in get_cones(spec):
+        v1, v2, v3 = cone.dual_gens
+        swapped = (v2, v1, v3)
+        assert linalg.det3(swapped) == -order
+        assert sorted(dual_rays(swapped, G.R)) == sorted(cone.rays)
+        _plant_generators(monkeypatch, swapped)
+        message = rf"chart of fixed point {cone.owner} has det = {-order}, expected {order}$"
+        with pytest.raises(ChartError, match=message):
+            chart_cone(G, get_fixed_points(spec)[cone.owner], owner=cone.owner)
 
 
 # SL3(Z) is generated by the elementary matrices I + c*E_ij, i != j
@@ -125,7 +151,7 @@ def _unimodular(ops) -> list[list[int]]:
 @given(ops=st.lists(ELEMENTARY, min_size=1, max_size=6))
 def test_invariant_basis_of_index_order_has_primitive_dual_in_n(ops):
     # the implication chart_cone rests on: three invariant exponents with
-    # |det| = |G| are a basis of M, so the dual basis is one of N.  Any basis
+    # det = |G| are a basis of M, so the dual basis is one of N.  Any basis
     # U * dual_gens of the same M, U in SL3(Z), must pass both tests and
     # have every dual vector primitive in N.  R times the dual basis is
     # R*adj^T / det, so det divides R*adj entrywise: the exact division
@@ -138,7 +164,7 @@ def test_invariant_basis_of_index_order_has_primitive_dual_in_n(ops):
             basis = [tuple(int(x) for x in row) for row in mat_mul(u, cone.dual_gens)]
             assert all(G.char_index(v) == 0 for v in basis)
             det = linalg.det3(basis)
-            assert abs(det) == order
+            assert det == order
             adj = linalg.adjugate3(basis)
             assert all(G.R * x % det == 0 for row in adj for x in row)
             for i in range(3):
@@ -149,7 +175,7 @@ def test_invariant_basis_of_index_order_has_primitive_dual_in_n(ops):
 @pytest.mark.parametrize("spec,order", SUITE_3D)
 def test_doubled_generator_fails_det_and_leaves_n(spec, order, monkeypatch):
     # 2*v3 is still invariant, but spans a sublattice of index 2|G|: chart_cone
-    # refuses it by |det|, and its third dual vector r3/2 lies outside N
+    # refuses it by its determinant, and its third dual vector r3/2 lies outside N
     G = get_group(spec)
     gg = get_fixed_points(spec)[0]
     for cone in get_cones(spec):
@@ -165,7 +191,7 @@ def test_doubled_generator_fails_det_and_leaves_n(spec, order, monkeypatch):
         ]
         assert in_n_flags == [True, True, False]
         _plant_generators(monkeypatch, doubled)
-        with pytest.raises(ChartError, match=rf"\|det\| = {2 * order}, expected {order}"):
+        with pytest.raises(ChartError, match=rf"det = {2 * order}, expected {order}$"):
             chart_cone(G, gg, owner=cone.owner)
 
 
