@@ -23,7 +23,6 @@ from .koszul import (
     build_rep,
     cpxnil_homology,
     koszul_homology,
-    verify_adhm,
 )
 from .mckay import intersection_matrix, mckay_matrices, quiver_dot
 from .toric import Fan, build_fan, chart_cone
@@ -55,5 +54,4 @@ __all__ = [
     "mckay_matrices",
     "quiver_dot",
     "verification_report",
-    "verify_adhm",
 ]

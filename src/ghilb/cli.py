@@ -35,7 +35,6 @@ class RunConfig:
     group: str
     out: str | None = None
     oracle_cap: int = 16
-    samples: int = 5
     seed: int = 0
     max_pairs: int | None = None
     dot: str | None = None
@@ -43,8 +42,6 @@ class RunConfig:
     def __post_init__(self):
         if self.oracle_cap < 1:
             raise ValueError("oracle cap must be at least 1")
-        if self.samples < 0:
-            raise ValueError("sample count must be nonnegative")
         if self.max_pairs is not None and self.max_pairs < 0:
             raise ValueError("pair cap must be nonnegative")
 
@@ -114,7 +111,6 @@ def cmd_verify(config: RunConfig) -> tuple[int, dict]:
     report = verify.verification_report(
         G,
         oracle_cap=config.oracle_cap,
-        samples=config.samples,
         seed=config.seed,
         max_pairs=config.max_pairs,
     )
@@ -161,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("fixed-points", "verify"):
             p.add_argument("--oracle-cap", type=int)
         if name == "verify":
-            p.add_argument("--samples", type=int)
             p.add_argument("--max-pairs", type=int)
         if name == "quiver":
             p.add_argument("--dot", help="also write the DOT source here")

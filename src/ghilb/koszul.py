@@ -25,20 +25,6 @@ coefficients are int numerators over one module denominator D, the product
 of each coordinate's denominator to the chart's top exponent on it, so no
 check does Fraction arithmetic.
 
-The ADHM-style checks (commutators, cyclic span, invertibility) cost O(|G|)
-each.  From line c, x_alpha then x_beta and x_beta then x_alpha end on the
-same line, so two B's commute exactly when their two coefficient products
-agree on every line.  The support check: at a chart point with nonzero
-coordinates the module lies over a free orbit, so x^R, y^R, z^R and xyz must
-each act as one nonzero scalar.  The arrows of x_alpha close up in cycles
-whose length, the order of chi_alpha, divides R, and xyz has the trivial
-character because G lies in SL3; so the check holds exactly when every
-coefficient is nonzero, every cycle product of each B raised to R over the
-cycle length is the same, and the coefficient product along xyz is the same
-from every line.  At a fixed point every B is nilpotent and the check fails.
-All of these checks are homogeneous in one module's coefficients, so D
-cancels and they read the numerators as they are.
-
 One complex builder reads two modules on their common character indexing:
 the two-module complex with differential B2 ^ eta - eta ^ B1, whose middle
 homology computes the equivariant Hom into the quotient
@@ -54,8 +40,7 @@ of d1 has at most two nonzeros, so ``linalg.two_term_basis`` finds a basis of
 each without elimination, those cells cancel, and only what is left of d2 is
 ranked by ``linalg.rank_sparse``.  The cancellation holds only on a true
 complex, so homology refuses a module whose B's do not commute
-(``ModuleRep.commutes``, checked once per module and shared with
-``verify_adhm``).
+(``ModuleRep.commutes``, checked once per module).
 """
 
 from __future__ import annotations
@@ -98,11 +83,9 @@ class ModuleRep:
     B_alpha sends line c to line group.arrows[alpha][c] with coefficient
     coeffs[alpha][c] / denominator, and the cyclic vector spans line 0.
     build_rep gives int numerators over a positive int denominator D.  The
-    checks on one module read the numerators as they are, since D cancels:
-    it scales both sides of a commutator comparison by D^2, every cycle
-    product raised to R over its length by D^R and every xyz product by
-    D^3.  The pair complex scales each module to the other's denominator
-    first (koszul_differentials).
+    commutation check reads the numerators as they are, since D scales both
+    sides of each comparison by D^2; the pair complex scales each module to
+    the other's denominator first (koszul_differentials).
     """
 
     group: AbelianGroup = field(repr=False, compare=False)
@@ -112,7 +95,12 @@ class ModuleRep:
 
     @cached_property
     def commutes(self) -> bool:
-        """Whether the three B's commute, checked once per module."""
+        """Whether the three B's commute, checked once per module.
+
+        From line c, x_alpha then x_beta and x_beta then x_alpha end on the
+        same line, so two B's commute exactly when their two coefficient
+        products agree on every line.
+        """
         arrows = list(zip(self.coeffs, self.group.arrows))
         for alpha, beta in WEDGE_PAIRS:
             (ca, sa), (cb, sb) = arrows[alpha], arrows[beta]
@@ -176,70 +164,6 @@ def build_rep(chart: Chart, coords: tuple) -> ModuleRep:
     values = [tx[i] * ty[j] * tz[k] for i, j, k in chart.exponents]
     coeffs = tuple([values[s] for s in column] for column in chart.slots)
     return ModuleRep(chart.group, coords, coeffs, denominator)
-
-
-def verify_adhm(rep: ModuleRep) -> bool:
-    """Exact commutator vanishing (ModuleRep.commutes) plus fullness of the cyclic span."""
-    return rep.commutes and krylov_dim(rep) == rep.group.order
-
-
-def krylov_dim(rep: ModuleRep) -> int:
-    """Dimension of the smallest B-invariant subspace containing the cyclic vector.
-
-    Every B maps a line to a line, so the span is that of the lines reached
-    from line 0 along arrows with nonzero coefficients: a breadth-first
-    search.
-    """
-    arrows = list(zip(rep.coeffs, rep.group.arrows))
-    seen = {0}
-    queue = [0]
-    while queue:
-        c = queue.pop()
-        for cs, shift in arrows:
-            if cs[c] and shift[c] not in seen:
-                seen.add(shift[c])
-                queue.append(shift[c])
-    return len(seen)
-
-
-def all_b_invertible(rep: ModuleRep) -> bool:
-    """Every coefficient is nonzero; each B already permutes the lines."""
-    return all(all(cs) for cs in rep.coeffs)
-
-
-def support_check(G: AbelianGroup, rep: ModuleRep) -> bool:
-    """x^R, y^R, z^R and xyz each act as one nonzero scalar.
-
-    x_alpha^R is a nonzero scalar exactly when every coefficient of B_alpha
-    is nonzero and P^(R/L) is the same for every cycle of its arrows, P
-    being the product of the coefficients around the cycle and L its
-    length.  The word xyz, read from every line, must give one common
-    nonzero product.  A chart point with nonzero coordinates lies in the
-    open torus of G-Hilb, whose module is supported on one free G-orbit in
-    (C*)^3, so there the check must pass; at a fixed point every B is
-    nilpotent and it fails.
-    """
-    if not all_b_invertible(rep):
-        return False
-    R = G.R
-    for cs, shift in zip(rep.coeffs, G.arrows):
-        scalars = set()
-        seen = [False] * len(cs)
-        for start in range(len(cs)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            product, c, length = cs[start], shift[start], 1
-            while c != start:
-                seen[c] = True
-                product *= cs[c]
-                c = shift[c]
-                length += 1
-            scalars.add(product ** (R // length))
-        if len(scalars) != 1:
-            return False
-    (cx, cy, cz), (_, sy, sz) = rep.coeffs, G.arrows
-    return len({cz[c] * cy[sz[c]] * cx[sy[sz[c]]] for c in range(len(cx))}) == 1
 
 
 class Complex(NamedTuple):

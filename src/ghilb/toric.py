@@ -117,7 +117,8 @@ def chart_cone(G: AbelianGroup, gg: GGraph, owner: int) -> ChartCone:
     for v in gens:
         if G.char_index(v) != 0:
             raise ChartError(
-                f"chart exponent {v} is not invariant; the staircase is misclassified"
+                f"chart exponent {v} of fixed point {owner} is not invariant; "
+                "the staircase is misclassified"
             )
     det = linalg.det3(gens)
     if det != G.order:

@@ -55,9 +55,12 @@ staircase monomial of character c, with its own McKay arrows (arrows), not
 AbelianGroup.arrows.  dense_matrices and module_from_dense: a module's dense
 matrices and cyclic vector, and the module of one coefficient per arrow read
 back from dense matrices, which refuses an entry off its arrow; through them
-tests build corrupted modules entry by entry.  support_check_walk: the
-support check as an R-step walk from every line, against which
-koszul.support_check's cycle test is checked.
+tests build corrupted modules entry by entry.  support_check_walk: x^R,
+y^R, z^R and xyz each a nonzero scalar, by an R-step walk from every line,
+which pins that chart samples lie over one free orbit and fixed points do
+not.  verify_adhm, krylov_dim and all_b_invertible: the ADHM relations,
+the cyclic span and invertibility of a module, which hold by construction
+at chart points and which verify therefore does not check.
 """
 
 from __future__ import annotations
@@ -594,3 +597,32 @@ def support_check_walk(G: AbelianGroup, rep: ModuleRep) -> bool:
         if len({value for value, _ in walks}) != 1:
             return False
     return True
+
+
+def verify_adhm(rep: ModuleRep) -> bool:
+    """Exact commutator vanishing (ModuleRep.commutes) plus fullness of the cyclic span."""
+    return rep.commutes and krylov_dim(rep) == rep.group.order
+
+
+def krylov_dim(rep: ModuleRep) -> int:
+    """Dimension of the smallest B-invariant subspace containing the cyclic vector.
+
+    Every B maps a line to a line, so the span is that of the lines reached
+    from line 0 along arrows with nonzero coefficients: a breadth-first
+    search.
+    """
+    arrows = list(zip(rep.coeffs, rep.group.arrows))
+    seen = {0}
+    queue = [0]
+    while queue:
+        c = queue.pop()
+        for cs, shift in arrows:
+            if cs[c] and shift[c] not in seen:
+                seen.add(shift[c])
+                queue.append(shift[c])
+    return len(seen)
+
+
+def all_b_invertible(rep: ModuleRep) -> bool:
+    """Every coefficient is nonzero; each B already permutes the lines."""
+    return all(all(cs) for cs in rep.coeffs)

@@ -9,19 +9,24 @@ All checks are exact; the only tolerances are the stated runtime budgets.
 import time
 from math import comb
 
-from _oracles import count_identity_value, hom_dim_dense, hook_staircases, primitive_in_n
+from _oracles import (
+    all_b_invertible,
+    count_identity_value,
+    hom_dim_dense,
+    hook_staircases,
+    krylov_dim,
+    primitive_in_n,
+    verify_adhm,
+)
 from conftest import SUITE_3D, get_charts, get_cones, get_fixed_points, get_group
 from ghilb import ggraph, linalg, toric
 from ghilb.groups import AbelianGroup, GroupSpec
 from ghilb.homcalc import hom_dim, hom_matrix
 from ghilb.koszul import (
-    all_b_invertible,
     build_rep,
     cpxnil_homology,
     koszul_homology,
-    krylov_dim,
     sample_chart_points,
-    verify_adhm,
 )
 from ghilb.mckay import intersection_matrix, mckay_matrices
 from ghilb.verify import seeded_rng

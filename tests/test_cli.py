@@ -83,7 +83,7 @@ def test_fan_command_at_order_one_hundred(capsys, spec):
 
 @pytest.mark.parametrize("spec", ["7:1,2,4", "3:1,1,1"])
 def test_verify_command_passes(capsys, spec):
-    code, out, err = run(capsys, "verify", "--group", spec, "--samples", "2")
+    code, out, err = run(capsys, "verify", "--group", spec)
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True
@@ -116,19 +116,17 @@ def test_verify_json_matches_golden(capsys, spec, golden, tmp_path):
 
 
 def test_capped_verify_json_matches_golden(capsys, tmp_path):
-    # the oracle skipped, 2 chart samples, and 10 of the 49 pairs, among
-    # them both (0, 5) and (5, 0)
+    # the oracle skipped, and 10 of the 49 pairs, among them both (0, 5)
+    # and (5, 0)
     out = tmp_path / "verify.json"
-    argv = ["--samples", "2", "--oracle-cap", "3", "--max-pairs", "10", "--seed", "5"]
+    argv = ["--oracle-cap", "3", "--max-pairs", "10", "--seed", "5"]
     assert main(["verify", "--group", "7:1,2,4", *argv, "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / "verify_7-1-2-4_seed5_capped.json").read_bytes()
 
 
 def test_verify_max_pairs_caps_work(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--group", "5:1,2,2", "--max-pairs", "6", "--samples", "1"
-    )
+    code, out, _ = run(capsys, "verify", "--group", "5:1,2,2", "--max-pairs", "6")
     assert code == 0
     payload = json.loads(out)
     koszul_check = next(c for c in payload["checks"] if c["name"] == "koszul_pairs")
@@ -149,22 +147,19 @@ def test_bad_flag_values_exit_two(capsys):
 
 
 def test_verify_with_no_work_is_never_ok(capsys):
-    code, out, err = run(
-        capsys, "verify", "--group", "7:1,2,4", "--max-pairs", "0", "--samples", "0"
-    )
+    code, out, err = run(capsys, "verify", "--group", "7:1,2,4", "--max-pairs", "0")
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["koszul_pairs"]["details"]["checked"] == 0
     assert checks["koszul_pairs"]["details"]["total"] == 49
-    assert checks["chart_samples"]["details"]["checked"] == 0
-    assert checks["chart_samples"]["details"]["total"] == 0
+    assert checks["chart_samples"]["details"] == {"checked": 7, "total": 7, "failures": []}
     assert checks["oracle_agreement"]["details"] == {"oracle": 7}
     assert checks["koszul_pairs"]["status"] == "empty"
-    assert checks["chart_samples"]["status"] == "empty"
+    assert checks["chart_samples"]["status"] == "ok"
     assert checks["oracle_agreement"]["status"] == "ok"
     lines = {line.split()[1]: line.split()[0] for line in err.splitlines() if line.startswith("  ")}
     assert lines["koszul_pairs"] == "empty"
-    assert lines["chart_samples"] == "empty"
+    assert lines["chart_samples"] == "ok"
     assert lines["oracle_agreement"] == "ok"
 
 
@@ -243,7 +238,6 @@ def test_unwritable_output_path_exits_two(capsys, tmp_path, flag):
     "flag,value,message",
     [
         ("--oracle-cap", "0", "oracle cap must be at least 1"),
-        ("--samples", "-1", "sample count must be nonnegative"),
         ("--max-pairs", "-1", "pair cap must be nonnegative"),
     ],
 )
@@ -261,6 +255,7 @@ def test_verify_option_errors_exit_two(capsys, flag, value, message):
         ("fan", "--oracle-cap"),
         ("fixed-points", "--samples"),
         ("fan", "--dot"),
+        ("verify", "--samples"),
     ],
 )
 def test_options_a_command_does_not_read_are_refused(capsys, command, flag):
@@ -349,7 +344,7 @@ def test_fan_reports_a_failed_chart(capsys, monkeypatch):
 
 def test_verify_reports_a_failed_chart(capsys, monkeypatch):
     _plant_chart_error(monkeypatch)
-    code, out, err = run(capsys, "verify", "--group", "7:1,2,4", "--samples", "1")
+    code, out, err = run(capsys, "verify", "--group", "7:1,2,4")
     assert code == 1
     report = json.loads(out)
     checks = {c["name"]: c for c in report["checks"]}
@@ -380,7 +375,7 @@ def test_fan_reports_a_fan_error(capsys, monkeypatch):
 
 def test_verify_reports_a_fan_error(capsys, monkeypatch):
     _plant_fan_error(monkeypatch)
-    code, out, _ = run(capsys, "verify", "--group", "7:1,2,4", "--samples", "1")
+    code, out, _ = run(capsys, "verify", "--group", "7:1,2,4")
     assert code == 1
     report = json.loads(out)
     checks = {c["name"]: c for c in report["checks"]}
@@ -477,13 +472,12 @@ def test_a_sampled_pair_whose_dual_is_not_sampled_is_ranked(capsys, monkeypatch)
     ranked = []
 
     def spy(G, a, b):
-        ranked.append((reps.index(a), reps.index(b)))
+        if a in reps:  # not a pair of chart samples
+            ranked.append((reps.index(a), reps.index(b)))
         return real(G, a, b)
 
     monkeypatch.setattr(koszul, "koszul_homology", spy)
-    code, out, _ = run(
-        capsys, "verify", "--group", SPEC, "--samples", "1", "--max-pairs", "10", "--seed", "5"
-    )
+    code, out, _ = run(capsys, "verify", "--group", SPEC, "--max-pairs", "10", "--seed", "5")
     assert code == 0
     assert ranked == [(0, 5), (1, 6), (2, 1), (3, 0), (3, 1), (4, 2), (4, 3), (4, 5), (6, 4)]
     checks = {c["name"]: c["details"] for c in json.loads(out)["checks"]}
@@ -543,29 +537,59 @@ def test_a_failed_hom_entry_is_named(capsys, monkeypatch):
     }
 
 
+def _exponent_plus_one(table):
+    """The chart table with its first nonzero exponent raised by 1 on the first coordinate.
+
+    The module at the fixed point keeps every coefficient, since that
+    exponent was already positive, but at a chart point with first
+    coordinate other than 0 or 1 the B's no longer commute.
+    """
+    exponents = list(table.exponents)
+    s = next(s for s, e in enumerate(exponents) if any(e))
+    exponents[s] = (exponents[s][0] + 1, *exponents[s][1:])
+    top = tuple(max(e[i] for e in exponents) for i in range(3))
+    return table._replace(exponents=tuple(exponents), top=top)
+
+
 def test_a_failed_chart_sample_is_named(capsys, monkeypatch):
-    chart = get_charts(SPEC)[6]
-    coords = koszul.sample_chart_points(5, verify.seeded_rng(0, 6))[3]
-    sample = koszul.build_rep(chart, coords)
+    # a commutation fault in the chart of fixed point 3: both of its samples
+    # are named and their pair is not ranked, so the run fails (exit 1)
+    # instead of stopping in the homology; the fixed-point checks pass
+    real = koszul.chart
     details = _planted_failures(
         capsys,
         monkeypatch,
         koszul,
-        "support_check",
-        lambda G, rep: False if rep == sample else None,
+        "chart",
+        lambda G, gg, cone: _exponent_plus_one(real(G, gg, cone)) if cone.owner == 3 else None,
     )
     assert details["chart_samples"] == {
-        "checked": 35,
-        "total": 35,
+        "checked": 7,
+        "total": 7,
         "failures": [
-            {
-                "fixed_point": 6,
-                "sample": 3,
-                "found": {"adhm": True, "support": False},
-                "expected": {"adhm": True, "support": True},
-            }
+            {"fixed_point": 3, "sample": s, "found": {"commutes": False}, "expected": {"commutes": True}}
+            for s in (0, 1)
         ],
     }
+    assert not details["koszul_pairs"]["failures"] and not details["fixed_point_betti"]["failures"]
+
+
+def test_chart_samples_count_only_the_pairs_ranked(capsys, monkeypatch):
+    # the third chart drawn gets two equal points: its pair is not ranked,
+    # so it is not counted as checked
+    real = koszul.sample_chart_points
+    draws = []
+
+    def planted(count, rng):
+        points = real(count, rng)
+        draws.append(points)
+        return [points[0]] * count if len(draws) == 3 else points
+
+    monkeypatch.setattr(koszul, "sample_chart_points", planted)
+    code, out, _ = run(capsys, "verify", "--group", SPEC)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["chart_samples"]["details"] == {"checked": 6, "total": 7, "failures": []}
 
 
 def _misclassified(monkeypatch, capsys, fault):
@@ -646,7 +670,7 @@ def test_a_faulty_fixed_point_module_is_stopped(capsys, monkeypatch, pair_cap):
     # the module of fixed point 2 (staircase 1, x, y, z, xy, xz, yz) built
     # wrong: homology refuses a module whose B's do not commute, and the
     # Betti check catches one whose cyclic span misses a line
-    argv = ["verify", "--group", SPEC, "--samples", "1", *pair_cap]
+    argv = ["verify", "--group", SPEC, *pair_cap]
     _plant_fixed_point_module(monkeypatch, _rescaled_arrow)
     assert console_main(argv) == 3
     assert json.loads(capsys.readouterr().out)["error"]["layer"] == "koszul._require_commuting"

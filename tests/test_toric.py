@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -218,6 +219,17 @@ def test_noninvariant_exponent_rejected():
     gg = get_fixed_points("3:1,1,1")[0]  # staircase of the wrong group
     with pytest.raises(ChartError, match="is not invariant"):
         chart_cone(G, gg, owner=0)
+
+
+def test_a_misclassified_staircase_names_its_fixed_point():
+    # a + 1 moves a chart exponent off M at every fixed point of 7:1,2,4,
+    # and the invariance error names the fixed point it was raised for
+    G = get_group("7:1,2,4")
+    for k, gg in enumerate(get_fixed_points("7:1,2,4")):
+        a, *rest = gg.params
+        misclassified = replace(gg, params=(a + 1, *rest))
+        with pytest.raises(ChartError, match=rf"of fixed point {k} is not invariant"):
+            chart_cone(G, misclassified, owner=k)
 
 
 def test_fan_order_three_frozen():
