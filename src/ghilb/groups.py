@@ -11,13 +11,16 @@ once per character, so that equality of fingerprints is equality of
 characters; AbelianGroup.characters holds the fingerprints.  The McKay
 arrows c -> c + chi_alpha of x, y and z (AbelianGroup.arrows) are the only
 rows built by adding keys; the product table char_add is built row by row,
-every other row being a known row read through one of those three.
+every other row being a known row read through one of those three.  The
+wedge arrows c -> c + chi_alpha + chi_beta (AbelianGroup.wedge_arrows), which
+the Koszul complexes read, are the arrows composed, built on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 Triple = tuple[int, int, int]
@@ -171,6 +174,16 @@ class AbelianGroup:
                     rows[nxt] = tuple(map(row.__getitem__, shift))
                     stack.append(nxt)
         self.char_add: tuple[tuple[int, ...], ...] = tuple(rows)
+
+    @cached_property
+    def wedge_arrows(self) -> tuple[tuple[int, ...], ...]:
+        """wedge_arrows[gamma][c] = arrows[alpha][arrows[beta][c]], alpha < beta the other two.
+
+        That is c + chi_alpha + chi_beta, which is c - chi_gamma because xyz
+        is invariant.  Built once per group, on first use.
+        """
+        x, y, z = self.arrows
+        return tuple(tuple(a[t] for t in b) for a, b in ((y, z), (x, z), (x, y)))
 
     # -- character operations -------------------------------------------------
 

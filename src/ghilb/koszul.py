@@ -36,11 +36,14 @@ Betti table of the staircase ideal, is the same complex from the zero
 module, the regular representation with every B zero, so that only the
 second module's terms are left (``cpxnil_differentials``).  Both go through
 one homology route, ``reduced_homology``: every row of d3 and every column
-of d1 has at most two nonzeros, so ``linalg.two_term_basis`` finds a basis of
-each without elimination, those cells cancel, and only what is left of d2 is
-ranked by ``linalg.rank_sparse``.  The cancellation holds only on a true
-complex, so homology refuses a module whose B's do not commute
-(``ModuleRep.commutes``, checked once per module).
+of d1 has at most two terms, so each is held as a flat row (u, a, v, b),
+read straight off the coefficient lists and the arrow tables (the wedge
+arrows ``G.wedge_arrows`` for d1), and ``linalg.two_term_basis`` finds a
+basis of each without elimination.  Those cells cancel, and what is left of d2 is
+built in one pass that skips the cancelled rows and columns and never makes
+a zero entry, then ranked by ``linalg.rank_sparse``.  The cancellation holds
+only on a true complex, so homology refuses a module whose B's do not
+commute (``ModuleRep.commutes``, checked once per module).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, NamedTuple
+from typing import Callable, Container, NamedTuple
 
 from . import linalg, toric
 from .ggraph import GGraph
@@ -170,13 +173,15 @@ class Complex(NamedTuple):
     """A complex C3 -> C2 -> C1 -> C0 of dimensions n, 3n, 3n, n, as its homology reads it.
 
     d3 is given by its rows, one per C2 cell, and d1 by its columns, one per
-    C1 cell; each has at most two nonzeros.  d2_rows(cells) builds the rows of
-    d2 at the given C1 cells only.
+    C1 cell, each a flat two-term row (u, a, v, b) for a*e_u + b*e_v, as
+    linalg.two_term_basis reads it.  d2(cut, kept) builds the rows of d2 at
+    the C1 cells not in cut, leaving out the columns (C2 cells) in kept, as
+    dicts column -> nonzero int; d2((), ()) is all of d2.
     """
 
-    d3: list[dict]
-    d2_rows: Callable[[list[int]], list[dict]]
-    d1: list[dict]
+    d3: list[tuple[int, int, int, int]]
+    d2: Callable[[Container[int], Container[int]], list[dict]]
+    d1: list[tuple[int, int, int, int]]
 
 
 def reduced_homology(cx: Complex) -> tuple[int, int, int, int]:
@@ -187,16 +192,14 @@ def reduced_homology(cx: Complex) -> tuple[int, int, int, int]:
     the span of the other columns (im d3 is in ker d2 and projects onto the S
     coordinates); because d1 d2 = 0, each T row of d2 is fixed by the other
     rows (d1 is injective on the T coordinates).  So the rank of d2 is the
-    rank of d2 with rows T and columns S deleted, and no entry of d2 needs
-    updating.  The caller must know that cx is a complex.
+    rank of d2 with rows T and columns S deleted, which cx.d2 builds in one
+    pass, and no entry of d2 needs updating.  The caller must know that cx
+    is a complex.
     """
     n = len(cx.d1) // 3
-    kept = set(linalg.two_term_basis(cx.d3))
-    cut = set(linalg.two_term_basis(cx.d1))
-    residual = [
-        {col: value for col, value in row.items() if col not in kept}
-        for row in cx.d2_rows([cell for cell in range(3 * n) if cell not in cut])
-    ]
+    kept = linalg.two_term_basis(cx.d3, n)
+    cut = linalg.two_term_basis(cx.d1, n)
+    residual = cx.d2(set(cut), set(kept))
     r3, r2, r1 = len(kept), linalg.rank_sparse(residual, 3 * n), len(cut)
     return (n - r3, 3 * n - r2 - r3, 3 * n - r1 - r2, n - r1)
 
@@ -211,11 +214,13 @@ def cpxnil_differentials(rep: ModuleRep) -> Complex:
     """The four-term wedge complex of one module, as a two-module complex.
 
     The first module is the zero module, so every term of
-    koszul_differentials read from it drops out and what is left is the
-    wedge complex d3 = (Bx; By; Bz), d2 = ((-By, Bx, 0); (-Bz, 0, Bx);
-    (0, -Bz, By)) and d1 = (Bz, -By, Bx), up to the order of its cells.
+    koszul_differentials read from it is zero: the empty slot of a flat row
+    of d3 or d1, and never an entry of d2.  What is left is the wedge
+    complex d3 = (Bx; By; Bz), d2 = ((-By, Bx, 0); (-Bz, 0, Bx); (0, -Bz, By))
+    and d1 = (Bz, -By, Bx), up to the order of its cells.  The zero module
+    takes rep's denominator, so that neither module is rescaled.
     """
-    zero = replace(rep, coeffs=tuple([0] * len(cs) for cs in rep.coeffs), denominator=1)
+    zero = replace(rep, coeffs=tuple([0] * len(cs) for cs in rep.coeffs))
     return koszul_differentials(rep.group, zero, rep)
 
 
@@ -227,20 +232,6 @@ def cpxnil_homology(rep: ModuleRep) -> tuple[int, int, int, int]:
     """
     _require_commuting(rep)
     return reduced_homology(cpxnil_differentials(rep))
-
-
-def _row(*entries) -> dict:
-    """The sparse row with these (column, value) entries, coinciding columns summed."""
-    row: dict = {}
-    for col, value in entries:
-        if value:
-            if col in row:
-                value += row[col]
-                if not value:
-                    del row[col]
-                    continue
-            row[col] = value
-    return row
 
 
 def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep) -> Complex:
@@ -255,6 +246,11 @@ def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep) -> C
     D2; when these differ, the first module's numerators are multiplied by
     D2 / g and the second's by D1 / g, g = gcd(D1, D2), so that every
     differential is D1 * D2 / g times the true one and has its rank.
+
+    Row (alpha, c) of d3 and column (p, c) of d1 are flat rows read
+    straight off the coefficient lists and the arrow tables; a zero
+    coefficient stays in its row as a zero term.  d2 is built only on
+    demand, and a zero coefficient never enters its rows.
     """
     if rep1.group is not G or rep2.group is not G:
         raise ValueError("both modules must be modules of this group")
@@ -265,46 +261,55 @@ def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep) -> C
         b2 = [[c * (den1 // g) for c in cs] for cs in b2]
     shift = G.arrows
     n = G.order
+    lines = range(n)
 
-    # d3: Hom -> three blocks.
+    # d3: Hom -> three blocks; row (alpha, c) is b2 e_c - b1 e_(c + chi_alpha).
     d3 = [
-        _row((c, b2[alpha][c]), (shift[alpha][c], -b1[alpha][c]))
+        (c, x, t, -y)
         for alpha in range(3)
-        for c in range(n)
+        for c, x, t, y in zip(lines, b2[alpha], shift[alpha], b1[alpha])
     ]
 
-    # d2: three blocks -> three wedge blocks, row p*n + c built on demand.
-    def d2_rows(cells):
+    # d2: three blocks -> three wedge blocks; row (p, c) has its terms at
+    # columns (beta, c), (alpha, c), (alpha, c + chi_beta) and
+    # (beta, c + chi_alpha), the first and last on one column when chi_alpha
+    # is trivial, the middle two when chi_beta is.
+    def d2(cut, kept):
         rows = []
-        for cell in cells:
-            p, c = divmod(cell, n)
-            alpha, beta = WEDGE_PAIRS[p]
-            to_alpha, to_beta = shift[alpha][c], shift[beta][c]
-            rows.append(
-                _row(
-                    (beta * n + c, b2[alpha][to_beta]),
-                    (alpha * n + c, -b2[beta][to_alpha]),
-                    (alpha * n + to_beta, b1[beta][c]),
-                    (beta * n + to_alpha, -b1[alpha][c]),
-                )
-            )
+        for p, (alpha, beta) in enumerate(WEDGE_PAIRS):
+            b2a, b2b, b1a, b1b = b2[alpha], b2[beta], b1[alpha], b1[beta]
+            an, bn, pn = alpha * n, beta * n, p * n
+            for c, ta, tb in zip(lines, shift[alpha], shift[beta]):
+                if pn + c in cut:
+                    continue
+                v1, v2, v3, v4 = b2a[tb], -b2b[ta], b1b[c], -b1a[c]
+                if ta == c:
+                    v1, v4 = v1 + v4, 0
+                if tb == c:
+                    v2, v3 = v2 + v3, 0
+                row = {}
+                if v1 and bn + c not in kept:
+                    row[bn + c] = v1
+                if v2 and an + c not in kept:
+                    row[an + c] = v2
+                if v3 and an + tb not in kept:
+                    row[an + tb] = v3
+                if v4 and bn + ta not in kept:
+                    row[bn + ta] = v4
+                rows.append(row)
         return rows
 
-    # d1, by columns: three wedge blocks -> Hom; signs of the top wedge
-    # product.
-    d1 = [[] for _ in range(3 * n)]
+    # d1, by columns: three wedge blocks -> Hom, with the signs of the top
+    # wedge product.  Column (p, c) of the pair without gamma is
+    # sign * (b2 e_c - b1 e_w), both coefficients those of the arrow of gamma
+    # from w = c - chi_gamma into c.
+    d1: list = []
     for p, (alpha, beta) in enumerate(WEDGE_PAIRS):
-        third = 3 - alpha - beta
-        sign = WEDGE_SIGNS[p]
-        c2, c1, s1 = b2[third], b1[third], shift[third]
-        wedge = [shift[alpha][target] for target in shift[beta]]
-        for c in range(n):
-            d1[p * n + c].append((c, sign * c2[wedge[c]]))
-            if c1[c]:
-                d1[p * n + s1[c]].append((c, -sign * c1[c]))
-    d1 = [_row(*entries) for entries in d1]
+        gamma = 3 - alpha - beta
+        sign, c2, c1 = WEDGE_SIGNS[p], b2[gamma], b1[gamma]
+        d1 += [(c, sign * c2[w], w, -sign * c1[w]) for c, w in zip(lines, G.wedge_arrows[gamma])]
 
-    return Complex(d3, d2_rows, d1)
+    return Complex(d3, d2, d1)
 
 
 def koszul_homology(

@@ -3,13 +3,15 @@
 ``rank_sparse`` is the package's only elimination.  It takes rows as dicts
 column -> nonzero int, divides each row by its content (which does not
 change the rank) and eliminates with integer row operations, so no quotient
-is ever formed.  ``two_term_basis`` needs no elimination: on rows with at
-most two nonzero ints it finds a row basis by union-find over the columns,
-keeping exact ratios as int pairs.  It cancels the d3 and d1 cells of the
-Koszul complexes and ranks the Hom syzygy rows x_g - x_h and x_g of
-``homcalc``.  ``det3`` and ``adjugate3`` are the closed-form 3x3
-determinant and adjugate of the chart exponent matrices.  Everything here
-is exact; no floating point is used anywhere in the package.
+is ever formed.  ``two_term_basis`` needs no elimination: on flat rows
+(u, a, v, b), each a*x_u + b*x_v with a term possibly zero or both on one
+column, it finds a row basis by a union-find over the columns held in
+lists, keeping exact ratios as int pairs, with no gcd for a ratio of +-1.
+It cancels the d3 and d1 cells of the Koszul complexes and ranks the Hom
+syzygy rows x_g - x_h and x_g of ``homcalc``.  ``det3`` and ``adjugate3``
+are the closed-form 3x3 determinant and adjugate of the chart exponent
+matrices.  Everything here is exact; no floating point is used anywhere in
+the package.
 """
 
 from __future__ import annotations
@@ -41,72 +43,97 @@ def rank_sparse(rows: list[dict[int, int]], ncols: int) -> int:
     return len(pivots)
 
 
-def two_term_basis(rows: list[dict[int, int]]) -> list[int]:
-    """Indices of a row basis, first found first, of rows with at most two entries.
+def two_term_basis(rows, ncols: int) -> list[int]:
+    """Indices of a row basis, first found first, of two-term rows on ncols columns.
 
-    Entries are nonzero ints; the rank is the basis's length.  No row is
-    eliminated: columns are the nodes of a union-find forest, and a row
-    a*x_u + b*x_v = 0 is an edge that fixes x_v / x_u.  Each node keeps the
-    ratio of its value to its parent's as a gcd-reduced int pair (p, q),
-    so every kernel vector is fixed on a component by its value at the
-    root, until a one-term row, or a cycle whose ratios disagree, forces
-    the whole component to zero.  Ratios are compared by cross-multiplying,
-    so no quotient is formed.  A row is independent of the rows before it
-    exactly when it joins two components that are not both forced to zero,
-    or forces a free component to zero.  Raises ValueError on a row with
-    more than two entries.
+    Each row is a flat tuple (u, a, v, b) of ints standing for a*x_u + b*x_v:
+    a or b may be zero, and when u == v the row is (a + b)*x_u.  The rank is
+    the basis's length.  No row is eliminated: columns are the nodes of a
+    union-find forest held in lists, and a row a*x_u + b*x_v = 0 with a and b
+    nonzero is an edge that fixes x_v / x_u.  Each node keeps the ratio of
+    its value to its parent's as an int pair (p, q) with q > 0, reduced by
+    gcd only when q is not 1, so that ratios of +-1 never call gcd; every
+    kernel vector is fixed on a component by its value at the root, until a
+    one-term row, or a cycle whose ratios disagree, forces the whole
+    component to zero.  Ratios are compared by cross-multiplying, so no
+    quotient is formed.  A row is independent of the rows before it exactly
+    when it joins two components that are not both forced to zero, or
+    forces a free component to zero.  Raises ValueError on a row that is not
+    one (u, a, v, b).
     """
-    parent: dict[int, int] = {}
-    ratio: dict[int, tuple[int, int]] = {}
-    forced: set[int] = set()
-
-    def find(u):
-        """(root, p, q) with x_u / x_root = p / q, for a node that is not a root.
-
-        Compresses the path: each node on it is reattached to the root.
-        """
-        path = []
-        while u in parent:
-            path.append(u)
-            u = parent[u]
-        p = q = 1
-        for node in reversed(path):
-            p, q = _reduced(ratio[node][0] * p, ratio[node][1] * q)
-            parent[node], ratio[node] = u, (p, q)
-        return u, p, q
-
+    parent = list(range(ncols))
+    num = [1] * ncols
+    den = [1] * ncols
+    forced = [False] * ncols
     basis = []
-    for index, row in enumerate(rows):
-        if len(row) == 2:
-            (u, a), (v, b) = row.items()
-            ru, pu, qu = find(u) if u in parent else (u, 1, 1)
-            rv, pv, qv = find(v) if v in parent else (v, 1, 1)
-            if ru == rv:
-                # a*pu/qu + b*pv/qv = 0 says the row holds on every kernel vector
-                if ru in forced or a * pu * qv + b * pv * qu == 0:
+    try:
+        for index, (u, a, v, b) in enumerate(rows):
+            if u == v:
+                a, b = a + b, 0
+            if not a:
+                if not b:
                     continue
-                forced.add(ru)
-            elif ru in forced and rv in forced:
-                continue
+                u, a, v, b = v, b, u, 0
+            ru = parent[u]
+            if ru == u:
+                pu = qu = 1
+            elif parent[ru] == ru:
+                pu, qu = num[u], den[u]
             else:
-                parent[rv] = ru
-                if ru in forced or rv in forced:
-                    forced.add(ru)
-                    ratio[rv] = (1, 1)
+                ru, pu, qu = _find(parent, num, den, u)
+            if not b:
+                if forced[ru]:
+                    continue
+                forced[ru] = True
+            else:
+                rv = parent[v]
+                if rv == v:
+                    pv = qv = 1
+                elif parent[rv] == rv:
+                    pv, qv = num[v], den[v]
                 else:
-                    ratio[rv] = _reduced(-a * pu * qv, b * pv * qu)
-        elif len(row) == 1:
-            (u,) = row
-            root = find(u)[0] if u in parent else u
-            if root in forced:
-                continue
-            forced.add(root)
-        elif row:
-            raise ValueError(f"row {index} has {len(row)} entries, more than two")
-        else:
-            continue
-        basis.append(index)
+                    rv, pv, qv = _find(parent, num, den, v)
+                if ru == rv:
+                    # a*pu/qu + b*pv/qv = 0 says the row holds on every kernel vector
+                    if forced[ru] or a * pu * qv + b * pv * qu == 0:
+                        continue
+                    forced[ru] = True
+                elif forced[ru] or forced[rv]:
+                    if forced[ru] and forced[rv]:
+                        continue
+                    parent[rv] = ru
+                    forced[ru] = True
+                else:
+                    parent[rv] = ru
+                    p, q = -a * pu * qv, b * pv * qu
+                    if q < 0:
+                        p, q = -p, -q
+                    num[rv], den[rv] = (p, q) if q == 1 else _reduced(p, q)
+            basis.append(index)
+    except ValueError:
+        raise ValueError(f"row {index} is not one (u, a, v, b) of at most two terms") from None
     return basis
+
+
+def _find(parent: list[int], num: list[int], den: list[int], u: int) -> tuple[int, int, int]:
+    """(root, p, q) with x_u / x_root = p / q, for a node two or more links below its root.
+
+    Compresses the path: each node on it is reattached to the root, with its
+    ratio to the root, reduced by gcd unless the denominator is 1.
+    """
+    path = [u]
+    root = parent[u]
+    while parent[root] != root:
+        path.append(root)
+        root = parent[root]
+    p = q = 1
+    for node in reversed(path):
+        p *= num[node]
+        q *= den[node]
+        if q != 1:
+            p, q = _reduced(p, q)
+        parent[node], num[node], den[node] = root, p, q
+    return root, p, q
 
 
 def _reduced(p: int, q: int) -> tuple[int, int]:

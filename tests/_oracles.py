@@ -33,8 +33,11 @@ rank_dense, kernel_dense, mat_mul and dense: dense Fraction Gaussian
 elimination and matrix products, against which the package's one sparse
 kernel (linalg.rank_sparse) and its sparse Koszul differentials are checked.
 dense_differentials and homology_full_ranks: a complex's differentials in
-full, and its homology from the three full ranks, against which
-koszul.reduced_homology's cancelled cells are checked.  wedge_differentials:
+full (its flat two-term rows of d3 and d1 read by dense_two_term, every row
+of d2 built with nothing cut or kept), and its homology from the three full
+ranks, against which koszul.reduced_homology's cancelled cells are checked.
+two_term_rows: sparse rows of at most two entries in the flat form
+(u, a, v, b) that linalg.two_term_basis reads.  wedge_differentials:
 the wedge complex of one module built block by block from its B's, against
 which koszul.cpxnil_differentials, the pair complex from the zero module, is
 checked.
@@ -402,14 +405,37 @@ def dense(rows: list[dict], ncols: int) -> list[list]:
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
 
+def dense_two_term(rows, ncols: int) -> list[list]:
+    """The dense list-of-rows form of flat two-term rows (u, a, v, b), each
+    a*e_u + b*e_v, the two terms summed when u == v."""
+    mat = []
+    for u, a, v, b in rows:
+        row = [0] * ncols
+        row[u] += a
+        row[v] += b
+        mat.append(row)
+    return mat
+
+
+def two_term_rows(rows: list[dict]) -> list[tuple]:
+    """Sparse rows {column: value} of at most two entries, in the flat form
+    (u, a, v, b); a missing term is (0, 0)."""
+    flat = []
+    for row in rows:
+        assert len(row) <= 2, row
+        (u, a), (v, b) = (list(row.items()) + [(0, 0), (0, 0)])[:2]
+        flat.append((u, a, v, b))
+    return flat
+
+
 def dense_differentials(cx: Complex) -> tuple[list[list], list[list], list[list]]:
     """(d3, d2, d1) of a complex as dense list-of-rows matrices, every row of d2
-    built and d1 turned from columns back into rows."""
+    built (nothing cut or kept) and d1 turned from columns back into rows."""
     n = len(cx.d1) // 3
-    d1_columns = dense(cx.d1, n)
+    d1_columns = dense_two_term(cx.d1, n)
     return (
-        dense(cx.d3, n),
-        dense(cx.d2_rows(range(3 * n)), 3 * n),
+        dense_two_term(cx.d3, n),
+        dense(cx.d2((), ()), 3 * n),
         [list(row) for row in zip(*d1_columns)],
     )
 
@@ -458,7 +484,15 @@ def wedge_differentials(rep: ModuleRep) -> Complex:
         for sign, alpha in ((1, 2), (-1, 1), (1, 0))
         for c, t in zip(rep.coeffs[alpha], targets[alpha])
     ]
-    return Complex(d3, lambda cells: [d2[cell] for cell in cells], d1)
+
+    def d2_residual(cut, kept):
+        return [
+            {col: x for col, x in row.items() if col not in kept}
+            for cell, row in enumerate(d2)
+            if cell not in cut
+        ]
+
+    return Complex(two_term_rows(d3), d2_residual, two_term_rows(d1))
 
 
 def rewrite_rules(gg: GGraph):

@@ -522,14 +522,16 @@ def test_a_corrupted_character_table_is_named(capsys, monkeypatch, spec):
 
 
 def test_a_failed_hom_entry_is_named(capsys, monkeypatch):
-    fps = get_fixed_points(SPEC)
-    details = _planted_failures(
-        capsys,
-        monkeypatch,
-        homcalc,
-        "hom_dim",
-        lambda G, src, tgt: 2 if (src, tgt) == (fps[2], fps[5]) else None,
-    )
+    # hom_matrix reads each source's syzygies once, not through hom_dim, so
+    # the wrong entry is planted in its matrix
+    real = homcalc.hom_matrix
+
+    def wrong(G, fps):
+        matrix = real(G, fps)
+        matrix[2][5] = 2
+        return matrix
+
+    details = _planted_failures(capsys, monkeypatch, homcalc, "hom_matrix", wrong)
     assert details["hom_matrix"] == {
         "checked": 49,
         "total": 49,

@@ -49,20 +49,20 @@ def test_hom_constraints_match_staircase_membership(spec):
                 images = [
                     mono_mul(match[k], tuple(a - b for a, b in zip(lcm, gens[k]))) for k in (i, j)
                 ]
-                row = {k: 1 for k, u in zip((i, j), images) if u in staircase}
-                if len(row) == 2:
+                lives = [k for k, u in zip((i, j), images) if u in staircase]
+                if len(lives) == 2:
                     assert images[0] == images[1]
-                    row[j] = -1
-                if row:
-                    want.append(row)
+                    want.append((i, 1, j, -1))
+                elif lives:
+                    want.append((lives[0], 1, lives[0], 0))
             assert hom_constraints(G, source, target) == want
 
 
 def _classes_from_rows(gens, rows):
     """Replay the syzygy rows with a fresh union-find, for inspection.
 
-    A row {i: 1, j: -1} joins generators i and j, and a row {i: 1} zeroes
-    generator i; no other row may occur.
+    A row (i, 1, j, -1) joins generators i and j, and a row (i, 1, i, 0)
+    zeroes generator i; no other row may occur.
     """
     parent = list(range(len(gens)))
     zero = [False] * len(gens)
@@ -72,16 +72,16 @@ def _classes_from_rows(gens, rows):
             i = parent[i]
         return i
 
-    for row in rows:
-        if len(row) == 2:
-            assert sorted(row.values()) == [-1, 1], row
-            gi, hi = (find(i) for i in row)
+    for i, a, j, b in rows:
+        if i != j:
+            assert (a, b) == (1, -1), (i, a, j, b)
+            gi, hi = find(i), find(j)
             if gi != hi:
                 parent[hi] = gi
                 zero[gi] = zero[gi] or zero[hi]
         else:
-            assert list(row.values()) == [1], row
-            zero[find(*row)] = True
+            assert (a, b) == (1, 0), (i, a, j, b)
+            zero[find(i)] = True
     classes: dict = {}
     for i, g in enumerate(gens):
         classes.setdefault(find(i), []).append(g)

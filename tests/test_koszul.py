@@ -10,6 +10,7 @@ from _oracles import (
     build_rep_fractions,
     dense_differentials,
     dense_matrices,
+    dense_two_term,
     homology_full_ranks,
     krylov_dim,
     mat_mul,
@@ -405,6 +406,22 @@ def test_reduced_homology_matches_full_ranks(data):
     assert cpxnil_homology(rep1) == homology_full_ranks(wedge_differentials(rep1))
 
 
+@pytest.mark.parametrize("spec", ["7:1,2,4", "6:1,5,0", "3:1,2,0;3:0,1,2"])
+def test_reduced_homology_matches_full_ranks_on_the_pairs_verify_ranks(spec):
+    # every ordered pair of fixed points, every chart's seeded sample pair
+    # (seed 0, as verify draws it) and every fixed point's wedge complex
+    G = get_group(spec)
+    charts = get_charts(spec)
+    reps = [build_rep(chart_k, (0, 0, 0)) for chart_k in charts]
+    pairs = [(a, b) for a in reps for b in reps]
+    for k, chart_k in enumerate(charts):
+        pairs.append(tuple(build_rep(chart_k, p) for p in sample_chart_points(2, seeded_rng(0, k))))
+    for a, b in pairs:
+        assert koszul_homology(G, a, b) == homology_full_ranks(koszul_differentials(G, a, b))
+    for rep in reps:
+        assert cpxnil_homology(rep) == homology_full_ranks(wedge_differentials(rep))
+
+
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
 def test_wedge_homology_at_fixed_points_is_the_betti_table(spec):
     for gg, chart_k in zip(get_fixed_points(spec), get_charts(spec)):
@@ -531,8 +548,9 @@ def _assert_serre_dual(G, rep_i, rep_j):
     for alpha, sign in enumerate(DUALITY_SIGNS):
         p = WEDGE_PAIRS.index(tuple(beta for beta in range(3) if beta != alpha))
         for c in range(n):
-            column = d1[p * n + shift[alpha][c]]
-            assert d3[alpha * n + c] == {row: sign * x for row, x in column.items()}, (alpha, c)
+            (row,) = dense_two_term([d3[alpha * n + c]], n)
+            (column,) = dense_two_term([d1[p * n + shift[alpha][c]]], n)
+            assert row == [sign * x for x in column], (alpha, c)
 
 
 @pytest.mark.parametrize("spec", ["7:1,2,4", "3:1,2,0;3:0,1,2", "6:1,5,0"])

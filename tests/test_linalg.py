@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import rank_dense
+from _oracles import dense_two_term, rank_dense
 from conftest import get_charts, get_group
 from ghilb import linalg
 from ghilb.koszul import build_rep, koszul_differentials, sample_chart_points
@@ -108,80 +108,117 @@ def test_rows_are_scaled_to_primitive_integer_rows():
 
 
 def _two_term_checked(rows, ncols):
-    """two_term_basis(rows), after checking it against rank_dense: as many
-    rows as the rank, and the chosen rows independent."""
-    basis = linalg.two_term_basis(rows)
-    mat = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    """two_term_basis(rows, ncols), after checking it against rank_dense: as
+    many rows as the rank, and the chosen rows independent.  Rows are flat
+    (u, a, v, b)."""
+    basis = linalg.two_term_basis(rows, ncols)
+    mat = dense_two_term(rows, ncols)
     assert len(basis) == rank_dense(mat)
     assert rank_dense([mat[i] for i in basis]) == len(basis)
     return basis
 
 
 def test_two_term_basis_one_term_rows():
-    # a repeated one-term row is dependent; a row into a column forced to
-    # zero still counts when its other column is free
-    rows = [{0: 3}, {0: 2}, {2: -1}, {}, {1: 5, 2: 1}, {1: 7}]
+    # a repeated one-term row is dependent, whichever of its two slots holds
+    # the term; a row into a column forced to zero still counts when its
+    # other column is free; two terms on one column are one term, and two
+    # zero terms no term
+    rows = [(0, 3, 0, 0), (1, 0, 0, 2), (2, -1, 2, 0), (1, 0, 2, 0), (1, 5, 2, 1), (1, 3, 1, 4)]
     assert _two_term_checked(rows, 3) == [0, 2, 4]
 
 
 def test_two_term_basis_cycle_whose_ratios_agree():
     # x1 = x0 / 2, x2 = x1 / 3, and x2 = x0 / 6 closes the cycle consistently
-    rows = [{0: 1, 1: -2}, {1: 1, 2: -3}, {0: 1, 2: -6}]
+    rows = [(0, 1, 1, -2), (1, 1, 2, -3), (0, 1, 2, -6)]
     assert _two_term_checked(rows, 3) == [0, 1]
 
 
 def test_two_term_basis_cycle_whose_ratios_disagree():
     # x2 = x0 / 5 contradicts the path, forcing the component to zero; a
     # one-term row on it afterwards is dependent
-    rows = [{0: 1, 1: -2}, {1: 1, 2: -3}, {0: 1, 2: -5}, {1: 4}, {0: 6, 2: -1}]
+    rows = [(0, 1, 1, -2), (1, 1, 2, -3), (0, 1, 2, -5), (1, 4, 1, 0), (0, 6, 2, -1)]
     assert _two_term_checked(rows, 3) == [0, 1, 2]
 
 
 def test_two_term_basis_bridge_between_forced_components():
     # {0, 1} is forced by a one-term row, {2, 3} by a cycle of ratio -1; the
     # bridge between them is dependent, a bridge to a free column is not
-    rows = [{0: 1, 1: 1}, {1: 2}, {2: 1, 3: -1}, {2: 1, 3: 1}, {0: 4, 3: 7}, {3: 1, 4: -1}]
+    rows = [(0, 1, 1, 1), (1, 2, 1, 0), (2, 1, 3, -1), (2, 1, 3, 1), (0, 4, 3, 7), (3, 1, 4, -1)]
     assert _two_term_checked(rows, 5) == [0, 1, 2, 3, 5]
 
 
+# Two components x1 = -x0 and x3 = -x2, joined by x3 = -x1, so that x3 hangs
+# two links below the root and its ratio is read along a path of -1's.
+UNIT_PATH = [(0, 1, 1, 1), (2, 1, 3, 1), (1, 1, 3, 1)]
+
+
+def test_two_term_basis_unit_cycle_of_product_minus_one_is_forced():
+    # the path gives x3 = x0; the row x3 + x0 closes a cycle whose ratios
+    # multiply to -1, so x0 = -x0 and the component is forced to zero: the
+    # row counts, and a one-term row on the component afterwards does not
+    rows = UNIT_PATH + [(3, 1, 0, 1), (0, 1, 0, 0)]
+    assert _two_term_checked(rows, 4) == [0, 1, 2, 3]
+
+
+def test_two_term_basis_unit_cycle_of_product_plus_one_is_not_forced():
+    # the row x3 - x0 closes a cycle whose ratios multiply to +1: it holds on
+    # the path's kernel, so it does not count, and a one-term row still does
+    rows = UNIT_PATH + [(3, 1, 0, -1), (0, 1, 0, 0)]
+    assert _two_term_checked(rows, 4) == [0, 1, 2, 4]
+
+
 def test_two_term_basis_refuses_a_three_term_row():
-    with pytest.raises(ValueError, match="more than two"):
-        linalg.two_term_basis([{0: 1}, {0: 1, 1: 1, 2: 1}])
+    with pytest.raises(ValueError, match="at most two terms"):
+        linalg.two_term_basis([(0, 1, 0, 0), (0, 1, 1, 1, 2, 1)], 3)
 
 
 def test_two_term_basis_on_the_coinciding_columns_of_a_zero_weight():
     # z acts on 6:1,5,0 by the scalar nu on its own line, so each z-row of a
-    # module's pair complex with itself sums nu - nu on one column to an
-    # empty row
+    # module's pair complex with itself is (c, nu, c, -nu) up to scale, on one
+    # column, and sums to no term
     G = get_group("6:1,5,0")
     for k, chart in enumerate(get_charts("6:1,5,0")):
         (point,) = sample_chart_points(1, seeded_rng(5, k))
         rep = build_rep(chart, point)
         cx = koszul_differentials(G, rep, rep)
         n = G.order
-        assert sum(1 for row in cx.d3 if not row) == n
+        assert sum(1 for u, a, v, b in cx.d3 if u == v and a + b == 0) == n
         assert len(_two_term_checked(cx.d3, n)) == n - 1
         assert len(_two_term_checked(cx.d1, n)) == n - 1
 
 
+def test_two_term_basis_on_every_fixed_point_pair_of_a_zero_weight():
+    # on 6:1,5,0 the z-rows of d3 and the z-columns of d1 put both their
+    # terms on one column (u == v), at every ordered pair of fixed points
+    spec = "6:1,5,0"
+    G = get_group(spec)
+    n = G.order
+    reps = [build_rep(chart, (0, 0, 0)) for chart in get_charts(spec)]
+    for rep_i in reps:
+        for rep_j in reps:
+            cx = koszul_differentials(G, rep_i, rep_j)
+            for rows in (cx.d3, cx.d1):
+                assert sum(1 for u, _, v, _ in rows if u == v) == n
+                _two_term_checked(rows, n)
+
+
 @st.composite
 def two_term_rows(draw):
-    """Rows of at most two nonzeros on few columns, so that cycles and forced
-    components are common; few distinct values and copies of the ratio of an
-    earlier row make consistent cycles common too."""
+    """Flat rows (u, a, v, b) on few columns, so that cycles and forced
+    components are common; few distinct values and scaled copies of an
+    earlier row make consistent cycles common too, and zero terms and
+    coinciding columns (u == v) occur."""
     ncols = draw(st.integers(min_value=2, max_value=6))
-    nonzero = st.sampled_from((1, -1, 2, -3, 3, -2))
+    column = st.integers(0, ncols - 1)
+    value = st.sampled_from((1, -1, 2, -3, 3, -2, 0))
     rows = []
     for _ in range(draw(st.integers(min_value=0, max_value=10))):
-        size = draw(st.sampled_from((0, 1, 2, 2, 2)))
-        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=size, max_size=size, unique=True))
-        row = {c: draw(nonzero) for c in cols}
-        if len(row) == 2 and rows and draw(st.booleans()):
-            scale = draw(nonzero)
-            earlier = draw(st.sampled_from(rows))
-            if len(earlier) == 2:
-                row = {c: scale * v for c, v in earlier.items()}
-        rows.append(row)
+        u, a, v, b = draw(column), draw(value), draw(column), draw(value)
+        if rows and draw(st.booleans()):
+            scale = draw(value.filter(bool))
+            u, a, v, b = draw(st.sampled_from(rows))
+            a, b = scale * a, scale * b
+        rows.append((u, a, v, b))
     return rows, ncols
 
 
