@@ -60,24 +60,34 @@ class MonomialIdeal:
 
     @classmethod
     def from_generators(cls, monomials) -> "MonomialIdeal":
+        """The minimal generators of the ideal the monomials generate.
+
+        In sorted order a monomial can only be divided by an earlier one,
+        so one pass keeps each monomial no kept one divides, and the kept
+        ones come out sorted.
+        """
         minimal: list[Monomial] = []
-        for m in sorted(set(tuple(g) for g in monomials)):
-            if not any(mono_divides(g, m) for g in minimal):
-                minimal = [g for g in minimal if not mono_divides(m, g)]
+        for m in sorted(set(map(tuple, monomials))):
+            x, y, z = m
+            for a, b, c in minimal:
+                if a <= x and b <= y and c <= z:
+                    break
+            else:
                 minimal.append(m)
-        return cls(tuple(sorted(minimal)))
+        return cls(tuple(minimal))
 
     def contains(self, m: Monomial) -> bool:
         return any(mono_divides(g, m) for g in self.gens)
 
     def pure_power_exponents(self) -> tuple[int, int, int]:
-        """Exponents (alpha, beta, gamma) of the pure-power generators."""
+        """Exponents (alpha, beta, gamma) of the least pure powers in the ideal."""
         out = [None, None, None]
         for g in self.gens:
-            for axis in range(3):
-                if g[axis] and not g[(axis + 1) % 3] and not g[(axis + 2) % 3]:
+            if g.count(0) == 2:
+                axis = 0 if g[0] else 1 if g[1] else 2
+                if out[axis] is None or g[axis] < out[axis]:
                     out[axis] = g[axis]
-        if any(v is None for v in out):
+        if None in out:
             raise InfiniteComplementError(
                 f"ideal {self.gens} has no pure power on some axis; "
                 "its complement is infinite"
@@ -90,9 +100,10 @@ class GGraph:
     """A torus-fixed ideal with its staircase, character table and classification.
 
     gamma is the staircase sorted, and by_char[c] is its monomial of
-    character c.  Both are kept: complement's column walk yields gamma
-    sorted for free, and that order sorts the fixed points and the JSON,
-    while deriving it from by_char would cost a sort per fixed point.
+    character c.  Both are kept: the column walk that fills by_char
+    (is_ggraph) visits the cells in sorted order, so it yields gamma sorted
+    for free, and that order sorts the fixed points and the JSON, while
+    deriving it from by_char would cost a sort per fixed point.
     """
 
     gamma: tuple[Monomial, ...]
@@ -112,35 +123,60 @@ class GGraph:
         }
 
 
-def complement(ideal: MonomialIdeal) -> list[Monomial]:
-    """All monomials outside the ideal, sorted; requires a finite staircase.
+def _rows(ideal: MonomialIdeal, exponents: tuple[int, int, int]):
+    """(i, heights) for each row x^i of the staircase, i from 0 to alpha - 1.
 
-    Walks the (x, y) columns: x^i y^j z^k lies outside the ideal exactly
-    when k is below the column height, the least z-exponent among the
-    generators that divide x^i y^j (z^gamma divides every column).  Heights
-    only fall as j grows, so a row ends at its first column of height 0, and
-    the cells come out in sorted order.
+    x^i y^j z^k lies outside the ideal exactly when k is below heights[j],
+    the least z-exponent among the generators that divide x^i y^j; heights
+    holds the row's nonzero column heights, and j runs over its indices.
+    One list is kept from row to row and yielded live.  The generators are
+    taken in sorted order, so each x^u y^v z^w joins at its row u: it lowers
+    the heights from column v on to w, stopping at the first column already
+    at most w, since heights only fall as j grows, or ends the row at
+    column v when w is 0; one past the row's last column, or with w at
+    least gamma, changes nothing, so the generators may come unsorted and
+    not minimal.
     """
-    alpha, beta, _ = ideal.pure_power_exponents()
-    out = []
-    for i in range(alpha):
-        row = [g for g in ideal.gens if g[0] <= i]
-        for j in range(beta):
-            height = min(g[2] for g in row if g[1] <= j)
-            if not height:
+    alpha, beta, gamma = exponents
+    heights = [gamma] * beta
+    i = 0
+    for u, v, w in sorted(ideal.gens):
+        if u >= alpha:
+            break
+        while i < u:
+            yield i, heights
+            i += 1
+        if not w:
+            del heights[v:]
+            continue
+        for j in range(v, len(heights)):
+            if heights[j] <= w:
                 break
-            out.extend((i, j, k) for k in range(height))
-    return out
+            heights[j] = w
+    while i < alpha:
+        yield i, heights
+        i += 1
 
 
-def classify(G: AbelianGroup, by_char: tuple[Monomial, ...], ideal: MonomialIdeal):
+def complement(ideal: MonomialIdeal) -> list[Monomial]:
+    """All monomials outside the ideal, sorted; requires a finite staircase."""
+    return [
+        (i, j, k)
+        for i, heights in _rows(ideal, ideal.pure_power_exponents())
+        for j, height in enumerate(heights)
+        for k in range(height)
+    ]
+
+
+def classify(G: AbelianGroup, by_char: tuple[Monomial, ...], exponents: tuple[int, int, int]):
     """Determine (kind, params) from character matching against by_char.
 
+    exponents are the ideal's pure-power exponents (alpha, beta, gamma).
     Raises ClassificationError when the matched monomials do not have the
     required shape or the three axis relations disagree on the kind; either
     event contradicts the structure theory and is treated as fatal.
     """
-    alpha, beta, gamma_exp = ideal.pure_power_exponents()
+    alpha, beta, gamma_exp = exponents
 
     def matched(exponent: Monomial) -> Monomial:
         return by_char[G.char_index(exponent)]
@@ -180,15 +216,41 @@ def classify(G: AbelianGroup, by_char: tuple[Monomial, ...], ideal: MonomialIdea
 
 
 def is_ggraph(G: AbelianGroup, ideal: MonomialIdeal) -> GGraph | None:
-    """The classified staircase if the ideal is a torus-fixed point, else None."""
-    gamma = complement(ideal)
-    if len(gamma) != G.order:
+    """The classified staircase if the ideal is a torus-fixed point, else None.
+
+    One column walk (_rows) fills by_char in place, reading each cell's
+    character off the McKay arrows: chi_x steps from row to row, chi_y
+    from column to column and chi_z from cell to cell, starting at the
+    trivial character 0 on 1.  The walk stops at the first repeated
+    character or as soon as the staircase exceeds |G| cells; a staircase
+    of |G| cells with no repeat carries every character exactly once.
+    """
+    exponents = ideal.pure_power_exponents()
+    step_x, step_y, step_z = G.arrows
+    N = G.order
+    by_char: list = [None] * N
+    gamma = []
+    cells = row = 0
+    for i, heights in _rows(ideal, exponents):
+        cells += sum(heights)
+        if cells > N:
+            return None
+        if i:
+            row = step_x[row]
+        col = row
+        for j, height in enumerate(heights):
+            c = col
+            for k in range(height):
+                if by_char[c] is not None:
+                    return None
+                by_char[c] = m = (i, j, k)
+                gamma.append(m)
+                c = step_z[c]
+            col = step_y[col]
+    if cells != N:
         return None
-    table = {G.char_index(m): m for m in gamma}
-    if len(table) != len(gamma):
-        return None
-    by_char = tuple(table[c] for c in range(G.order))
-    kind, params = classify(G, by_char, ideal)
+    by_char = tuple(by_char)
+    kind, params = classify(G, by_char, exponents)
     return GGraph(gamma=tuple(gamma), ideal=ideal, by_char=by_char, kind=kind, params=params)
 
 
@@ -235,17 +297,21 @@ def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
     solution's chart has det = |G| by construction; it must still pass the
     ranges of beta and gamma and the two remaining character matches.
     Candidates are deduplicated on the minimal generators of the resulting
-    ideal, whose staircase is revalidated by is_ggraph.
+    ideal, whose staircase is revalidated by is_ggraph: one column walk per
+    candidate that reads only those generators and the McKay arrows, none
+    of the solved parameters, and stops at the first repeated character.
     """
     N = G.order
     ci = G.char_index
     cx = [ci((k, 0, 0)) for k in range(N + 1)]
     cy = [ci((0, k, 0)) for k in range(N + 1)]
     cz = [ci((0, 0, k)) for k in range(N + 1)]
+    # the character of x^i y^j is add[cx[i]][cy[j]], and so on
+    add = G.char_add
     pairs_by_char: dict[int, list[tuple[int, int]]] = {}
     for b in range(1, N + 1):
         for f in range(1, N // b + 1):
-            pairs_by_char.setdefault(ci((0, b - 1, f - 1)), []).append((b, f))
+            pairs_by_char.setdefault(add[cy[b - 1]][cz[f - 1]], []).append((b, f))
 
     seen: set[tuple[Monomial, ...]] = set()
     results: list[GGraph] = []
@@ -276,9 +342,9 @@ def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
                         gamma_exp = c + f - delta
                         if not (1 <= beta <= N and 1 <= gamma_exp <= N):
                             continue
-                        if cz[gamma_exp] != ci((a - 1, e - 1, 0)):
+                        if cz[gamma_exp] != add[cx[a - 1]][cy[e - 1]]:
                             continue
-                        if ci((d - 1, 0, c - 1)) != cy[beta]:
+                        if add[cx[d - 1]][cz[c - 1]] != cy[beta]:
                             continue
                         params = (a, b, c, d, e, f)
                         ideal = MonomialIdeal.from_generators(

@@ -6,14 +6,16 @@ w = exp(2*pi*i/R).  The determinant-one condition reads v1+v2+v3 = 0 mod R.
 A character is determined by its values on the generators, so it is keyed by
 its pairing with the generator elements: #generators integers mod R.  Its
 public form is the value table (fingerprint) over the canonically ordered
-elements, entry k the exponent e of its value w^e at the k-th element, built
-once per character, so that equality of fingerprints is equality of
-characters; AbelianGroup.characters holds the fingerprints.  The McKay
-arrows c -> c + chi_alpha of x, y and z (AbelianGroup.arrows) are the only
-rows built by adding keys; the product table char_add is built row by row,
-every other row being a known row read through one of those three.  The
-wedge arrows c -> c + chi_alpha + chi_beta (AbelianGroup.wedge_arrows), which
-the Koszul complexes read, are the arrows composed, built on first use.
+elements, entry k the exponent e of its value w^e at the k-th element, so
+that equality of fingerprints is equality of characters.  Characters are
+indexed in fingerprint order, found by sorting on a prefix of the element
+pairings, doubled in length until it tells the characters apart;
+AbelianGroup.characters holds the full fingerprints, built on first use.
+The McKay arrows c -> c + chi_alpha of x, y and z (AbelianGroup.arrows) are
+the only rows built by adding keys; the product table char_add is built row
+by row, every other row being a known row read through one of those three.
+The wedge arrows c -> c + chi_alpha + chi_beta (AbelianGroup.wedge_arrows),
+which the Koszul complexes read, are the arrows composed, built on first use.
 """
 
 from __future__ import annotations
@@ -140,9 +142,17 @@ class AbelianGroup:
                 f"character scan found {len(rep_of_key)} characters for a group "
                 f"of order {self.order}; group construction is inconsistent"
             )
-        fp_of_key = {key: self._pairing(e, self.elements) for key, e in rep_of_key.items()}
-        keys = sorted(rep_of_key, key=fp_of_key.__getitem__)
-        self.characters: tuple[tuple[int, ...], ...] = tuple(fp_of_key[k] for k in keys)
+        # Sorting on the pairings with the first L elements gives the order
+        # of the full fingerprints once those prefixes are pairwise distinct;
+        # L doubles from 2 (the first element is the identity) until they are.
+        L = 2
+        while True:
+            points = self.elements[:L]
+            prefix = {key: self._pairing(e, points) for key, e in rep_of_key.items()}
+            if L >= self.order or len(set(prefix.values())) == self.order:
+                break
+            L *= 2
+        keys = sorted(rep_of_key, key=prefix.__getitem__)
         self.char_exponents: tuple[Triple, ...] = tuple(rep_of_key[k] for k in keys)
         index_of_key = {key: k for k, key in enumerate(keys)}
         # Character index of x^j, y^j and z^j for j in [0, R).
@@ -174,6 +184,11 @@ class AbelianGroup:
                     rows[nxt] = tuple(map(row.__getitem__, shift))
                     stack.append(nxt)
         self.char_add: tuple[tuple[int, ...], ...] = tuple(rows)
+
+    @cached_property
+    def characters(self) -> tuple[tuple[int, ...], ...]:
+        """The fingerprints of the characters, in index order; built on first use."""
+        return tuple(self._pairing(e, self.elements) for e in self.char_exponents)
 
     @cached_property
     def wedge_arrows(self) -> tuple[tuple[int, ...], ...]:

@@ -108,7 +108,7 @@ def two_term_basis(rows, ncols: int) -> list[int]:
                     p, q = -a * pu * qv, b * pv * qu
                     if q < 0:
                         p, q = -p, -q
-                    num[rv], den[rv] = (p, q) if q == 1 else _reduced(p, q)
+                    num[rv], den[rv] = (p, q) if q == 1 else reduced(p, q)
             basis.append(index)
     except ValueError:
         raise ValueError(f"row {index} is not one (u, a, v, b) of at most two terms") from None
@@ -131,12 +131,12 @@ def _find(parent: list[int], num: list[int], den: list[int], u: int) -> tuple[in
         p *= num[node]
         q *= den[node]
         if q != 1:
-            p, q = _reduced(p, q)
+            p, q = reduced(p, q)
         parent[node], num[node], den[node] = root, p, q
     return root, p, q
 
 
-def _reduced(p: int, q: int) -> tuple[int, int]:
+def reduced(p: int, q: int) -> tuple[int, int]:
     """The ratio p / q as an int pair divided by gcd(p, q)."""
     g = gcd(p, q)
     return (p, q) if g == 1 else (p // g, q // g)

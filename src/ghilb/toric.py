@@ -54,6 +54,15 @@ def _over(ray: Vector, R: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, R) for c in ray)
 
 
+def _text(ray: Vector, R: int) -> list[str]:
+    """Each coordinate c/R as str(Fraction(c, R)) writes it, with no Fraction built."""
+    out = []
+    for c in ray:
+        p, q = linalg.reduced(c, R)
+        out.append(f"{p}/{q}" if q != 1 else str(p))
+    return out
+
+
 @dataclass(frozen=True)
 class Fan:
     R: int
@@ -64,9 +73,9 @@ class Fan:
     def to_json(self) -> dict:
         ray_index = {r: i for i, r in enumerate(self.rays)}
         return {
-            "rays": [[str(c) for c in _over(ray, self.R)] for ray in self.rays],
+            "rays": [_text(ray, self.R) for ray in self.rays],
             "cones": [sorted(ray_index[r] for r in cone.rays) for cone in self.cones],
-            "junior_elements": [[str(c) for c in _over(ray, self.R)] for ray in self.junior],
+            "junior_elements": [_text(ray, self.R) for ray in self.junior],
         }
 
 

@@ -598,8 +598,8 @@ def _misclassified(monkeypatch, capsys, fault):
     """verify on SPEC with classify's parameters passed through fault; the chart check's details."""
     real = ggraph.classify
 
-    def planted(G, by_char, ideal):
-        kind, params = real(G, by_char, ideal)
+    def planted(G, by_char, exponents):
+        kind, params = real(G, by_char, exponents)
         return kind, fault(params)
 
     return _planted_failures(capsys, monkeypatch, ggraph, "classify", planted)["charts_smooth_crepant"]

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -77,6 +79,64 @@ def finite_ideals(draw):
 @given(finite_ideals())
 def test_complement_column_walk_matches_box_scan(i):
     assert complement(i) == complement_box_scan(i)
+
+
+WALK_SPECS = ["3:1,1,1", "6:1,5,0", "2:1,1,0;2:1,0,1"]
+
+
+# a fixed point of 3:1,1,1 held by unsorted generators, one of them repeated
+# and two of them redundant
+@example("3:1,1,1", MonomialIdeal(((0, 0, 1), (4, 0, 0), (3, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))))
+# the all-ones kind B point of the Klein group, xyz among its generators
+@example(
+    "2:1,1,0;2:1,0,1",
+    MonomialIdeal(((1, 1, 1), (0, 2, 0), (1, 0, 1), (2, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0, 2))),
+)
+# a hook of 6:1,5,0, whose z has the trivial character
+@example("6:1,5,0", MonomialIdeal(((0, 0, 1), (0, 3, 0), (4, 0, 0), (1, 1, 0))))
+@given(st.sampled_from(WALK_SPECS), finite_ideals())
+def test_is_ggraph_walk_matches_box_scan(spec, i):
+    G = get_group(spec)
+    cells = complement_box_scan(i)
+    chars = [G.char_index(m) for m in cells]
+    gg = is_ggraph(G, i)
+    if gg is None:
+        assert len(cells) != G.order or len(set(chars)) != len(chars)
+    else:
+        assert list(gg.gamma) == cells
+        assert all(G.char_index(gg.by_char[c]) == c for c in range(G.order))
+
+
+def test_is_ggraph_rejects_a_repeated_character():
+    # the three cells 1, x and z of 3:1,1,1, where x and z share a character
+    G = get_group("3:1,1,1")
+    assert is_ggraph(G, ideal((0, 1, 0), (0, 0, 2), (2, 0, 0), (1, 0, 1))) is None
+    assert [G.char_index(m) for m in ((0, 0, 0), (1, 0, 0), (0, 0, 1))] == [0, 1, 1]
+
+
+def test_is_ggraph_rejects_more_cells_than_the_order_before_walking_them():
+    # one column of five cells in 2:1,1,0, where z has the trivial
+    # character: the walk counts a row's cells before it reads any, so it
+    # stops with no step along an arrow, where a walk that only watched for
+    # a repeated character would take one step along z
+    G = get_group("2:1,1,0")
+    steps = []
+
+    class Arrow(tuple):
+        def __getitem__(self, c):
+            steps.append(c)
+            return tuple.__getitem__(self, c)
+
+    probe = SimpleNamespace(order=G.order, arrows=tuple(Arrow(a) for a in G.arrows))
+    assert is_ggraph(probe, ideal((1, 0, 0), (0, 1, 0), (0, 0, 5))) is None
+    assert steps == []
+
+
+def test_is_ggraph_rejects_fewer_cells_than_the_order():
+    # 1 and z carry distinct characters of 7:1,2,4, but two cells are not seven
+    G = get_group("7:1,2,4")
+    assert G.char_index((0, 0, 1)) != G.char_index((0, 0, 0))
+    assert is_ggraph(G, ideal((1, 0, 0), (0, 1, 0), (0, 0, 2))) is None
 
 
 def test_infinite_complement_detected():

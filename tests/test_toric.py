@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -285,3 +286,23 @@ def test_fan_json_shape():
     assert ["1/2", "1/2", "0"] in payload["rays"]
     assert all(len(cone) == 3 for cone in payload["cones"])
 
+
+
+# the specs of the fan goldens, and order 499, whose junior elements reach
+# every numerator of 1/499
+@pytest.mark.parametrize(
+    "spec",
+    ["13:1,3,9", "3:1,2,0;3:0,1,2", "33:1,4,28", "37:1,10,26", "6:1,5,0;6:0,1,5", "499:1,2,496"],
+)
+def test_fan_json_ray_text_is_the_fraction_text(spec):
+    G = get_group(spec)
+    fan = build_fan(G, get_cones(spec))
+    payload = fan.to_json()
+    assert payload["rays"] == [[str(Fraction(c, G.R)) for c in ray] for ray in fan.rays]
+    assert payload["junior_elements"] == [[str(Fraction(c, G.R)) for c in g] for g in fan.junior]
+
+
+def test_ray_text_reduces_signs_and_zero_like_fraction():
+    for R in (1, 2, 6, 12):
+        for c in range(-2 * R, 2 * R + 1):
+            assert toric._text((c, 0, -c), R) == [str(Fraction(c, R)), "0", str(Fraction(-c, R))]
