@@ -36,14 +36,11 @@ class RunConfig:
     out: str | None = None
     oracle_cap: int = 16
     seed: int = 0
-    max_pairs: int | None = None
     dot: str | None = None
 
     def __post_init__(self):
         if self.oracle_cap < 1:
             raise ValueError("oracle cap must be at least 1")
-        if self.max_pairs is not None and self.max_pairs < 0:
-            raise ValueError("pair cap must be nonnegative")
 
 
 def _group(config: RunConfig) -> AbelianGroup:
@@ -108,12 +105,7 @@ def cmd_fan(config: RunConfig) -> tuple[int, dict]:
 
 def cmd_verify(config: RunConfig) -> tuple[int, dict]:
     G = _group(config)
-    report = verify.verification_report(
-        G,
-        oracle_cap=config.oracle_cap,
-        seed=config.seed,
-        max_pairs=config.max_pairs,
-    )
+    report = verify.verification_report(G, oracle_cap=config.oracle_cap, seed=config.seed)
     print(verify.render_report(report), file=sys.stderr)
     code = 0 if report["pass"] else 1
     if code:
@@ -156,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         if name in ("fixed-points", "verify"):
             p.add_argument("--oracle-cap", type=int)
-        if name == "verify":
-            p.add_argument("--max-pairs", type=int)
         if name == "quiver":
             p.add_argument("--dot", help="also write the DOT source here")
     return parser

@@ -81,6 +81,8 @@ class MonomialIdeal:
 
     def pure_power_exponents(self) -> tuple[int, int, int]:
         """Exponents (alpha, beta, gamma) of the least pure powers in the ideal."""
+        if (0, 0, 0) in self.gens:  # the unit ideal: 1 = x^0 = y^0 = z^0
+            return (0, 0, 0)
         out = [None, None, None]
         for g in self.gens:
             if g.count(0) == 2:

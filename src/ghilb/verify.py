@@ -6,8 +6,8 @@ charts_smooth_crepant, fan, hom_matrix, koszul_pairs (exact homology over
 the fixed-point pairs), fixed_point_betti and chart_samples.  The counting
 identity of each fixed point is the signed determinant check of its chart
 cone (toric.chart_cone), so charts_smooth_crepant names a fixed point that
-fails it.  Of the pairs (i, j) and (j, i), only the first met is ranked:
-Serre duality makes the other's homology the reversed tuple, and it is
+fails it.  Of the pairs (i, j) and (j, i), only (i, j) with i <= j is
+ranked: Serre duality makes (j, i)'s homology the reversed tuple, and it is
 reported and counted in checked as a pair of its own (_koszul_pairs_check).
 The wedge complex of each fixed-point module must have the Betti table of
 the enumerated ideal as its homology (fixed_point_betti).  Each chart
@@ -57,13 +57,7 @@ def seeded_rng(*parts: int) -> random.Random:
     return random.Random(value)
 
 
-def verification_report(
-    G: AbelianGroup,
-    *,
-    oracle_cap: int,
-    seed: int,
-    max_pairs: int | None,
-) -> dict:
+def verification_report(G: AbelianGroup, *, oracle_cap: int, seed: int) -> dict:
     checks: list[dict] = []
     report = {
         "group": {
@@ -129,7 +123,7 @@ def verification_report(
     else:
         charts = [charts[k] for k in range(len(fps))]
         reps = [koszul.build_rep(chart, (0, 0, 0)) for chart in charts]
-    checks.append(_koszul_pairs_check(G, reps, seed, max_pairs))
+    checks.append(_koszul_pairs_check(G, reps))
     checks.append(_fixed_point_betti_check(fps, reps))
     checks.append(_chart_samples_check(charts, seed))
     for check in checks:
@@ -172,31 +166,27 @@ def _status(check: dict) -> str:
     return "ok"
 
 
-def _koszul_pairs_check(G, reps, seed, max_pairs) -> dict:
-    """Homology of the ordered fixed-point pairs, all |G|^2 or a seeded sample.
+def _koszul_pairs_check(G, reps) -> dict:
+    """Homology of all |G|^2 ordered fixed-point pairs.
 
     By Serre duality the (j, i) complex is the signed transpose of the
     (i, j) complex (Lambda^k V* is Lambda^(3-k) V, det being trivial on G
-    in SL3), so h(j, i) is h(i, j) reversed.  Of (i, j) and (j, i), only the
-    first met in the sorted pair list is ranked, and the other's h is the
-    reversed tuple.  Ranked and derived pairs alike count in checked, and a
-    derived pair fails as its own object.
+    in SL3), so h(j, i) is h(i, j) reversed: (i, j) with i <= j is ranked,
+    and (j, i) is read as its reverse.  Both count in checked, and each
+    fails as its own object.
     """
     if reps is None:
         return _charts_failed("koszul_pairs", "homology not computed")
-    ordered = [(i, j) for i in range(len(reps)) for j in range(len(reps))]
-    if max_pairs is not None and len(ordered) > max_pairs:
-        rng = seeded_rng(seed, 101)
-        ordered = sorted(rng.sample(ordered, max_pairs))
-    homology: dict[tuple[int, int], tuple[int, ...]] = {}
     failures: list[dict] = []
-    for i, j in ordered:
-        dual = homology.get((j, i))
-        h = dual[::-1] if dual is not None else koszul.koszul_homology(G, reps[i], reps[j])
-        homology[i, j] = h
-        expected = KOSZUL_EQUAL if i == j else KOSZUL_DISTINCT
-        _compare(failures, list(h), list(expected), pair=[i, j])
-    return _per_object("koszul_pairs", len(ordered), len(reps) ** 2, failures)
+    for i in range(len(reps)):
+        for j in range(i, len(reps)):
+            h = list(koszul.koszul_homology(G, reps[i], reps[j]))
+            expected = list(KOSZUL_EQUAL if i == j else KOSZUL_DISTINCT)
+            _compare(failures, h, expected, pair=[i, j])
+            if i != j:
+                _compare(failures, h[::-1], expected, pair=[j, i])
+    failures.sort(key=lambda record: record["pair"])
+    return _per_object("koszul_pairs", len(reps) ** 2, len(reps) ** 2, failures)
 
 
 def betti_table(gg: ggraph.GGraph) -> tuple[int, int, int, int]:

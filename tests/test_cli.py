@@ -115,24 +115,6 @@ def test_verify_json_matches_golden(capsys, spec, golden, tmp_path):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-def test_capped_verify_json_matches_golden(capsys, tmp_path):
-    # the oracle skipped, and 10 of the 49 pairs, among them both (0, 5)
-    # and (5, 0)
-    out = tmp_path / "verify.json"
-    argv = ["--oracle-cap", "3", "--max-pairs", "10", "--seed", "5"]
-    assert main(["verify", "--group", "7:1,2,4", *argv, "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == (GOLDEN / "verify_7-1-2-4_seed5_capped.json").read_bytes()
-
-
-def test_verify_max_pairs_caps_work(capsys):
-    code, out, _ = run(capsys, "verify", "--group", "5:1,2,2", "--max-pairs", "6")
-    assert code == 0
-    payload = json.loads(out)
-    koszul_check = next(c for c in payload["checks"] if c["name"] == "koszul_pairs")
-    assert koszul_check["details"] == {"checked": 6, "total": 25, "failures": []}
-
-
 def test_out_file_written(capsys, tmp_path):
     path = tmp_path / "group.json"
     code, out, _ = run(capsys, "group", "--group", "3:1,1,1", "--out", str(path))
@@ -146,21 +128,24 @@ def test_bad_flag_values_exit_two(capsys):
     assert code == 2
 
 
-def test_verify_with_no_work_is_never_ok(capsys):
-    code, out, err = run(capsys, "verify", "--group", "7:1,2,4", "--max-pairs", "0")
-    assert code == 0
+def test_verify_with_no_work_is_never_ok(capsys, monkeypatch):
+    # an enumeration that finds no fixed point fails the count, and leaves
+    # every check over fixed points with nothing to check: empty, not ok
+    monkeypatch.setattr(ggraph, "enumerate_fixed_points", lambda G: [])
+    code, out, err = run(capsys, "verify", "--group", "7:1,2,4")
+    assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["koszul_pairs"]["details"]["checked"] == 0
-    assert checks["koszul_pairs"]["details"]["total"] == 49
-    assert checks["chart_samples"]["details"] == {"checked": 7, "total": 7, "failures": []}
-    assert checks["oracle_agreement"]["details"] == {"oracle": 7}
-    assert checks["koszul_pairs"]["status"] == "empty"
-    assert checks["chart_samples"]["status"] == "ok"
-    assert checks["oracle_agreement"]["status"] == "ok"
+    assert checks["fixed_point_count"]["status"] == "fail"
     lines = {line.split()[1]: line.split()[0] for line in err.splitlines() if line.startswith("  ")}
-    assert lines["koszul_pairs"] == "empty"
-    assert lines["chart_samples"] == "ok"
-    assert lines["oracle_agreement"] == "ok"
+    for name in (
+        "charts_smooth_crepant",
+        "hom_matrix",
+        "koszul_pairs",
+        "fixed_point_betti",
+        "chart_samples",
+    ):
+        assert checks[name]["details"] == {"checked": 0, "total": 0, "failures": []}
+        assert checks[name]["status"] == lines[name] == "empty"
 
 
 def test_skipped_oracle_is_not_ok(capsys):
@@ -238,7 +223,6 @@ def test_unwritable_output_path_exits_two(capsys, tmp_path, flag):
     "flag,value,message",
     [
         ("--oracle-cap", "0", "oracle cap must be at least 1"),
-        ("--max-pairs", "-1", "pair cap must be nonnegative"),
     ],
 )
 def test_verify_option_errors_exit_two(capsys, flag, value, message):
@@ -256,6 +240,7 @@ def test_verify_option_errors_exit_two(capsys, flag, value, message):
         ("fixed-points", "--samples"),
         ("fan", "--dot"),
         ("verify", "--samples"),
+        ("verify", "--max-pairs"),
     ],
 )
 def test_options_a_command_does_not_read_are_refused(capsys, command, flag):
@@ -263,14 +248,6 @@ def test_options_a_command_does_not_read_are_refused(capsys, command, flag):
         main([command, "--group", "7:1,2,4", flag, "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_negative_pair_cap_exits_two(capsys):
-    # rejected with the options, before it can reach random.sample
-    code, out, err = run(capsys, "verify", "--group", "3:1,1,1", "--max-pairs", "-1")
-    assert code == 2
-    assert out == ""
-    assert "pair cap" in err
 
 
 @pytest.mark.parametrize(
@@ -445,28 +422,31 @@ def _planted_failures(capsys, monkeypatch, module, name, wrong):
 
 def test_a_failed_koszul_pair_is_named(capsys, monkeypatch):
     reps = [koszul.build_rep(chart, (0, 0, 0)) for chart in get_charts(SPEC)]
+    planted = [(reps[0], reps[5]), (reps[1], reps[4])]
     details = _planted_failures(
         capsys,
         monkeypatch,
         koszul,
         "koszul_homology",
-        lambda G, a, b: (0, 0, 1, 0) if (a, b) == (reps[1], reps[4]) else None,
+        lambda G, a, b: (0, 0, 1, 0) if (a, b) in planted else None,
     )
-    # (4, 1) is not ranked: its h is the planted h of (1, 4) reversed
+    # (4, 1) and (5, 0) are not ranked: their h is the planted h of (1, 4)
+    # and (0, 5) reversed, and the records come out sorted by pair
     assert details["koszul_pairs"] == {
         "checked": 49,
         "total": 49,
         "failures": [
+            {"pair": [0, 5], "found": [0, 0, 1, 0], "expected": [0, 0, 0, 0]},
             {"pair": [1, 4], "found": [0, 0, 1, 0], "expected": [0, 0, 0, 0]},
             {"pair": [4, 1], "found": [0, 1, 0, 0], "expected": [0, 0, 0, 0]},
+            {"pair": [5, 0], "found": [0, 1, 0, 0], "expected": [0, 0, 0, 0]},
         ],
     }
 
 
-def test_a_sampled_pair_whose_dual_is_not_sampled_is_ranked(capsys, monkeypatch):
-    # the seeded sample of 10 of the 49 pairs at seed 5 holds (0, 5) and
-    # (5, 0), and (2, 1), (3, 0), (3, 1), (4, 2), (4, 3) and (6, 4) without
-    # their duals: only (5, 0) is read off its dual
+def test_each_unordered_fixed_point_pair_is_ranked_once(capsys, monkeypatch):
+    # the 28 pairs (i, j) with i <= j are ranked, in order, and each (j, i)
+    # is read as its reverse
     reps = [koszul.build_rep(chart, (0, 0, 0)) for chart in get_charts(SPEC)]
     real = koszul.koszul_homology
     ranked = []
@@ -477,11 +457,11 @@ def test_a_sampled_pair_whose_dual_is_not_sampled_is_ranked(capsys, monkeypatch)
         return real(G, a, b)
 
     monkeypatch.setattr(koszul, "koszul_homology", spy)
-    code, out, _ = run(capsys, "verify", "--group", SPEC, "--max-pairs", "10", "--seed", "5")
+    code, out, _ = run(capsys, "verify", "--group", SPEC)
     assert code == 0
-    assert ranked == [(0, 5), (1, 6), (2, 1), (3, 0), (3, 1), (4, 2), (4, 3), (4, 5), (6, 4)]
+    assert ranked == [(i, j) for i in range(7) for j in range(i, 7)]
     checks = {c["name"]: c["details"] for c in json.loads(out)["checks"]}
-    assert checks["koszul_pairs"] == {"checked": 10, "total": 49, "failures": []}
+    assert checks["koszul_pairs"] == {"checked": 49, "total": 49, "failures": []}
 
 
 def test_betti_check_counts_the_fixed_points_enumerated(capsys, monkeypatch):
@@ -667,12 +647,11 @@ def _plant_fixed_point_module(monkeypatch, fault):
     monkeypatch.setattr(koszul, "build_rep", planted)
 
 
-@pytest.mark.parametrize("pair_cap", [[], ["--max-pairs", "0"]], ids=["all-pairs", "no-pairs"])
-def test_a_faulty_fixed_point_module_is_stopped(capsys, monkeypatch, pair_cap):
+def test_a_faulty_fixed_point_module_is_stopped(capsys, monkeypatch):
     # the module of fixed point 2 (staircase 1, x, y, z, xy, xz, yz) built
     # wrong: homology refuses a module whose B's do not commute, and the
     # Betti check catches one whose cyclic span misses a line
-    argv = ["verify", "--group", SPEC, *pair_cap]
+    argv = ["verify", "--group", SPEC]
     _plant_fixed_point_module(monkeypatch, _rescaled_arrow)
     assert console_main(argv) == 3
     assert json.loads(capsys.readouterr().out)["error"]["layer"] == "koszul._require_commuting"

@@ -139,6 +139,14 @@ def test_is_ggraph_rejects_fewer_cells_than_the_order():
     assert is_ggraph(G, ideal((1, 0, 0), (0, 1, 0), (0, 0, 2))) is None
 
 
+def test_the_unit_ideal_has_an_empty_complement():
+    # 1 = x^0 = y^0 = z^0 is a pure power on every axis, so no cell is left
+    unit = ideal((0, 0, 0))
+    assert unit.pure_power_exponents() == (0, 0, 0)
+    assert complement(unit) == []
+    assert is_ggraph(get_group("7:1,2,4"), unit) is None
+
+
 def test_infinite_complement_detected():
     with pytest.raises(InfiniteComplementError):
         complement(ideal((1, 0, 0), (0, 1, 0)))
