@@ -9,6 +9,11 @@ JSON record {"error": {"type", "message", "layer"}}, where layer names the
 innermost function of the traceback that lies in this package, as
 module.function, e.g. "toric.chart_cone").
 
+Each subcommand's parser registers the options it takes, with their
+defaults, and refuses any other; a command reads the parsed options.
+fixed-points and verify run the brute-force oracle up to the fixed group
+order ggraph.ORACLE_CAP, which ggraph.oracle_agreement alone compares with.
+
 ``main`` is the in-process entry: it returns 0, 1 or 2 and lets an internal
 fault propagate, so a caller that embeds the CLI sees the exception itself.
 ``console_main`` is the process entry (the ``ghilb`` script and ``python -m
@@ -20,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -28,27 +32,12 @@ from . import ggraph, mckay, toric, verify
 from .groups import AbelianGroup, GroupSpec, GroupSpecError
 
 
-@dataclass
-class RunConfig:
-    """The options of one run; a command that does not take an option reads its default."""
-
-    group: str
-    out: str | None = None
-    oracle_cap: int = 16
-    seed: int = 0
-    dot: str | None = None
-
-    def __post_init__(self):
-        if self.oracle_cap < 1:
-            raise ValueError("oracle cap must be at least 1")
+def _group(options: argparse.Namespace) -> AbelianGroup:
+    return AbelianGroup(GroupSpec.parse(options.group))
 
 
-def _group(config: RunConfig) -> AbelianGroup:
-    return AbelianGroup(GroupSpec.parse(config.group))
-
-
-def cmd_group(config: RunConfig) -> tuple[int, dict]:
-    G = _group(config)
+def cmd_group(options: argparse.Namespace) -> tuple[int, dict]:
+    G = _group(options)
     payload = {
         "order": G.order,
         "exponent": G.R,
@@ -63,8 +52,8 @@ def cmd_group(config: RunConfig) -> tuple[int, dict]:
     return 0, payload
 
 
-def cmd_quiver(config: RunConfig) -> tuple[int, dict]:
-    G = _group(config)
+def cmd_quiver(options: argparse.Namespace) -> tuple[int, dict]:
+    G = _group(options)
     matrices = mckay.mckay_matrices(G)
     payload = {
         "matrices": dict(zip(("a0", "a1", "a2", "a3"), matrices)),
@@ -74,22 +63,23 @@ def cmd_quiver(config: RunConfig) -> tuple[int, dict]:
     return 0, payload
 
 
-def cmd_fixed_points(config: RunConfig) -> tuple[int, dict]:
-    G = _group(config)
+def cmd_fixed_points(options: argparse.Namespace) -> tuple[int, dict]:
+    G = _group(options)
     fps = ggraph.enumerate_fixed_points(G)
     payload = {
         "count": len(fps),
         "fixed_points": [gg.to_json() for gg in fps],
     }
-    if G.order <= config.oracle_cap:
-        agree, _ = ggraph.oracle_agreement(G, fps, config.oracle_cap)
-        payload["oracle_agreement"] = agree
-        return int(not agree), payload
-    return 0, payload
+    agreement = ggraph.oracle_agreement(G, fps)
+    if agreement is None:
+        return 0, payload
+    agree, _ = agreement
+    payload["oracle_agreement"] = agree
+    return int(not agree), payload
 
 
-def cmd_fan(config: RunConfig) -> tuple[int, dict]:
-    G = _group(config)
+def cmd_fan(options: argparse.Namespace) -> tuple[int, dict]:
+    G = _group(options)
     fps = ggraph.enumerate_fixed_points(G)
     layers = toric.layers(G, fps)
     charts = [{"fixed_point": k, "smooth": True, "crepant": True} for k in range(len(fps))]
@@ -103,9 +93,9 @@ def cmd_fan(config: RunConfig) -> tuple[int, dict]:
     return int(layers.fan is None), payload
 
 
-def cmd_verify(config: RunConfig) -> tuple[int, dict]:
-    G = _group(config)
-    report = verify.verification_report(G, oracle_cap=config.oracle_cap, seed=config.seed)
+def cmd_verify(options: argparse.Namespace) -> tuple[int, dict]:
+    G = _group(options)
+    report = verify.verification_report(G, seed=options.seed)
     print(verify.render_report(report), file=sys.stderr)
     code = 0 if report["pass"] else 1
     if code:
@@ -141,13 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("fan", "chart cones and the glued fan with smooth/crepant flags"),
         ("verify", "run the full verification suite"),
     ):
-        # options left out stay unset, so RunConfig holds every default
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--group", required=True, help="generator spec r:w1,w2,w3[;...]")
         p.add_argument("--out", help="write the JSON payload to this path")
-        p.add_argument("--seed", type=int)
-        if name in ("fixed-points", "verify"):
-            p.add_argument("--oracle-cap", type=int)
+        p.add_argument("--seed", type=int, default=0)
         if name == "quiver":
             p.add_argument("--dot", help="also write the DOT source here")
     return parser
@@ -164,25 +151,21 @@ def _write(path: str, text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    options = vars(build_parser().parse_args(argv))
-    command = options.pop("command")
+    options = build_parser().parse_args(argv)
     try:
-        config = RunConfig(**options)
-    except ValueError as exc:
-        return _input_error(exc)
-    try:
-        code, payload = COMMANDS[command](config)
+        code, payload = COMMANDS[options.command](options)
     except GroupSpecError as exc:
         return _input_error(exc)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    dot = getattr(options, "dot", None)  # only quiver takes --dot
     try:
-        if config.dot:
-            _write(config.dot, payload["dot"] + "\n")
-        if config.out:
-            _write(config.out, text)
+        if dot:
+            _write(dot, payload["dot"] + "\n")
+        if options.out:
+            _write(options.out, text)
     except OSError as exc:
         return _input_error(exc)
-    if not config.out:
+    if not options.out:
         sys.stdout.write(text)
     return code
 

@@ -18,7 +18,6 @@ the chain from the chart cones to the glued fan, recording where it fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
@@ -49,18 +48,20 @@ class ChartCone:
     rays: tuple[Vector, Vector, Vector]
 
 
-def _over(ray: Vector, R: int) -> tuple[Fraction, ...]:
-    """The ray held as R*ray written out as the vector it stands for, c/R."""
-    return tuple(Fraction(c, R) for c in ray)
+def _fraction(c: int, R: int) -> str:
+    """c/R as str(Fraction(c, R)) writes it, with no Fraction built."""
+    p, q = linalg.reduced(c, R)
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 def _text(ray: Vector, R: int) -> list[str]:
-    """Each coordinate c/R as str(Fraction(c, R)) writes it, with no Fraction built."""
-    out = []
-    for c in ray:
-        p, q = linalg.reduced(c, R)
-        out.append(f"{p}/{q}" if q != 1 else str(p))
-    return out
+    """The ray held as R*ray written out as the vector it stands for, c/R."""
+    return [_fraction(c, R) for c in ray]
+
+
+def _ray_str(ray: Vector, R: int) -> str:
+    """_text as one string, for messages and facet keys: (1/3, 1/3, 1/3)."""
+    return f"({', '.join(_text(ray, R))})"
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,10 @@ def dual_rays(dual_gens, R: int) -> tuple[Vector, Vector, Vector]:
     rays = tuple(tuple(R * adj[j][i] // det for j in range(3)) for i in range(3))
     for ray in rays:
         if any(x < 0 for x in ray):
-            raise ChartError(f"ray {_over(ray, R)} has a negative coordinate")
+            raise ChartError(f"ray {_ray_str(ray, R)} has a negative coordinate")
         if sum(ray) != R:
             raise ChartError(
-                f"ray {_over(ray, R)} has coordinate sum {Fraction(sum(ray), R)}, not 1"
+                f"ray {_ray_str(ray, R)} has coordinate sum {_fraction(sum(ray), R)}, not 1"
             )
     return rays
 
@@ -152,8 +153,8 @@ def build_fan(G: AbelianGroup, cones: list[ChartCone]) -> Fan:
         raise FanError(
             "fan ray set does not match the junior elements",
             details={
-                "missing": sorted(str(_over(r, R)) for r in expected_rays - set(seen_rays)),
-                "extra": sorted(str(_over(r, R)) for r in set(seen_rays) - expected_rays),
+                "missing": [_text(r, R) for r in sorted(expected_rays - set(seen_rays))],
+                "extra": [_text(r, R) for r in sorted(set(seen_rays) - expected_rays)],
             },
         )
     if len(cones) != G.order:
@@ -171,7 +172,7 @@ def build_fan(G: AbelianGroup, cones: list[ChartCone]) -> Fan:
         boundary = any(r1[i] == 0 and r2[i] == 0 for i in range(3))
         expected = 1 if boundary else 2
         if len(owners) != expected:
-            bad[f"{_over(r1, R)}|{_over(r2, R)}"] = {
+            bad[f"{_ray_str(r1, R)}|{_ray_str(r2, R)}"] = {
                 "cones": owners,
                 "expected": expected,
                 "boundary": boundary,

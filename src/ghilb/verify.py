@@ -1,14 +1,16 @@
 """One-shot verification suite for a single group.
 
 The report holds eight checks, in this order: fixed_point_count,
-oracle_agreement (the enumeration against the brute-force oracle),
-charts_smooth_crepant, fan, hom_matrix, koszul_pairs (exact homology over
-the fixed-point pairs), fixed_point_betti and chart_samples.  The counting
-identity of each fixed point is the signed determinant check of its chart
-cone (toric.chart_cone), so charts_smooth_crepant names a fixed point that
-fails it.  Of the pairs (i, j) and (j, i), only (i, j) with i <= j is
-ranked: Serre duality makes (j, i)'s homology the reversed tuple, and it is
-reported and counted in checked as a pair of its own (_koszul_pairs_check).
+oracle_agreement (the enumeration against the brute-force oracle, which
+ggraph.oracle_agreement runs only up to ggraph.ORACLE_CAP and skips
+above it), charts_smooth_crepant, fan, hom_matrix, koszul_pairs (exact
+homology over the fixed-point pairs), fixed_point_betti and chart_samples.
+The counting identity of each fixed point is the signed determinant check
+of its chart cone (toric.chart_cone), so charts_smooth_crepant names a
+fixed point that fails it.  Of the pairs (i, j) and (j, i), only (i, j)
+with i <= j is ranked: Serre duality makes (j, i)'s homology the reversed
+tuple, and it is reported and counted in checked as a pair of its own
+(_koszul_pairs_check).
 The wedge complex of each fixed-point module must have the Betti table of
 the enumerated ideal as its homology (fixed_point_betti).  Each chart
 draws one pair of sample points, whose pair complex must be exact
@@ -27,7 +29,8 @@ many, and one record per failing object only.  A record names its object
 "expected", or for a chart with the "error" that rejected its cone or its
 table.  The number of fixed points is written
 once, as the count of fixed_point_count; oracle_agreement's details are
-{"oracle": the number the oracle found}, or {} when it is skipped.
+{"oracle": the number the oracle found}, or {} when it is skipped above
+the cap.
 
 Every check carries a "status" of ok, fail, skip or empty; a check that did
 no work is "empty" or "skip", never "ok", and "pass" still says only
@@ -57,7 +60,7 @@ def seeded_rng(*parts: int) -> random.Random:
     return random.Random(value)
 
 
-def verification_report(G: AbelianGroup, *, oracle_cap: int, seed: int) -> dict:
+def verification_report(G: AbelianGroup, *, seed: int) -> dict:
     checks: list[dict] = []
     report = {
         "group": {
@@ -79,18 +82,13 @@ def verification_report(G: AbelianGroup, *, oracle_cap: int, seed: int) -> dict:
         }
     )
 
-    if G.order <= oracle_cap:
-        agree, found = ggraph.oracle_agreement(G, fps, oracle_cap)
-        checks.append({"name": "oracle_agreement", "pass": agree, "details": {"oracle": found}})
+    agreement = ggraph.oracle_agreement(G, fps)
+    if agreement is None:
+        skipped = f"group order {G.order} above oracle cap {ggraph.ORACLE_CAP}"
+        checks.append({"name": "oracle_agreement", "pass": True, "skipped": skipped, "details": {}})
     else:
-        checks.append(
-            {
-                "name": "oracle_agreement",
-                "pass": True,
-                "skipped": f"group order {G.order} above oracle cap {oracle_cap}",
-                "details": {},
-            }
-        )
+        agree, found = agreement
+        checks.append({"name": "oracle_agreement", "pass": agree, "details": {"oracle": found}})
 
     layers = toric.layers(G, fps)
     errors = dict(layers.cone_errors)

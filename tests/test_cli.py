@@ -52,11 +52,13 @@ def test_quiver_builds_its_matrices_once(capsys, monkeypatch):
 
 
 def test_fixed_points_command(capsys):
-    code, out, _ = run(capsys, "fixed-points", "--group", "2:1,1,0;2:1,0,1")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["count"] == 4
-    assert payload["oracle_agreement"] is True
+    # 22:1,3,18 is at the oracle cap, so the oracle runs on it too
+    for spec, order in (("2:1,1,0;2:1,0,1", 4), ("22:1,3,18", 22)):
+        code, out, _ = run(capsys, "fixed-points", "--group", spec)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == order
+        assert payload["oracle_agreement"] is True
 
 
 def test_fan_command(capsys):
@@ -123,11 +125,6 @@ def test_out_file_written(capsys, tmp_path):
     assert json.loads(path.read_text())["order"] == 3
 
 
-def test_bad_flag_values_exit_two(capsys):
-    code, _, err = run(capsys, "verify", "--group", "3:1,1,1", "--oracle-cap", "0")
-    assert code == 2
-
-
 def test_verify_with_no_work_is_never_ok(capsys, monkeypatch):
     # an enumeration that finds no fixed point fails the count, and leaves
     # every check over fixed points with nothing to check: empty, not ok
@@ -149,9 +146,12 @@ def test_verify_with_no_work_is_never_ok(capsys, monkeypatch):
 
 
 def test_skipped_oracle_is_not_ok(capsys):
-    code, out, err = run(capsys, "verify", "--group", "3:1,1,1", "--oracle-cap", "2")
+    spec = "23:1,4,18"  # the least cyclic order above the oracle cap
+    assert get_group(spec).order == ggraph.ORACLE_CAP + 1
+    code, out, err = run(capsys, "verify", "--group", spec)
     assert code == 0
-    assert "  skip  oracle_agreement [skipped: group order 3 above oracle cap 2]" in err
+    skipped = f"group order {ggraph.ORACLE_CAP + 1} above oracle cap {ggraph.ORACLE_CAP}"
+    assert f"  skip  oracle_agreement [skipped: {skipped}]" in err
     oracle = next(c for c in json.loads(out)["checks"] if c["name"] == "oracle_agreement")
     assert oracle["status"] == "skip"
     assert oracle["details"] == {}
@@ -220,17 +220,6 @@ def test_unwritable_output_path_exits_two(capsys, tmp_path, flag):
 
 
 @pytest.mark.parametrize(
-    "flag,value,message",
-    [
-        ("--oracle-cap", "0", "oracle cap must be at least 1"),
-    ],
-)
-def test_verify_option_errors_exit_two(capsys, flag, value, message):
-    code, out, err = run(capsys, "verify", "--group", "3:1,1,1", flag, value)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize(
     "command,flag",
     [
         ("group", "--samples"),
@@ -241,6 +230,8 @@ def test_verify_option_errors_exit_two(capsys, flag, value, message):
         ("fan", "--dot"),
         ("verify", "--samples"),
         ("verify", "--max-pairs"),
+        ("verify", "--oracle-cap"),
+        ("fixed-points", "--oracle-cap"),
     ],
 )
 def test_options_a_command_does_not_read_are_refused(capsys, command, flag):
@@ -254,8 +245,8 @@ def test_options_a_command_does_not_read_are_refused(capsys, command, flag):
     "argv,golden",
     [
         (["fixed-points", "--group", "7:1,2,4"], "fixed-points_7-1-2-4.json"),
-        # above the default oracle cap: no oracle_agreement key
-        (["fixed-points", "--group", "19:1,7,11"], "fixed-points_19-1-7-11.json"),
+        # above the oracle cap: no oracle_agreement key
+        (["fixed-points", "--group", "23:1,4,18"], "fixed-points_23-1-4-18.json"),
         (["fan", "--group", "13:1,3,9"], "fan_13-1-3-9.json"),
         (["fan", "--group", "3:1,2,0;3:0,1,2"], "fan_3-1-2-0_3-0-1-2.json"),
         (["fan", "--group", "37:1,10,26"], "fan_37-1-10-26.json"),

@@ -81,7 +81,7 @@ def _assert_report_passes(gens):
         G = AbelianGroup(GroupSpec(tuple(gens)))
     except GroupSpecError:
         assume(False)  # trivial group drawn
-    report = verification_report(G, oracle_cap=16, seed=0)
+    report = verification_report(G, seed=0)
     assert report["pass"] is True
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert not {"fail", "empty"} & set(statuses.values()), statuses

@@ -12,6 +12,7 @@ from _oracles import (
     hook_staircases,
 )
 from conftest import SUITE_3D, get_fixed_points, get_group
+from ghilb import ggraph
 from ghilb.ggraph import (
     GGraph,
     InfiniteComplementError,
@@ -226,13 +227,15 @@ def test_enumeration_count_and_identities(spec, order):
         assert count_identity_value(gg.kind, gg.params) == order
 
 
-# Up to the oracle cap 16: 16:1,3,12 and the 4x4 group are at it
+# Up to the oracle cap 22: 22:1,3,18 is at it, and of the cyclic groups of
+# order 22 its oracle costs the most against the rest of verify
 ORACLE_SPECS = SUITE_3D + [
     ("13:1,3,9", 13),
     ("3:1,2,0;3:0,1,2", 9),
     ("6:1,5,0", 6),
     ("16:1,3,12", 16),
     ("4:1,3,0;4:0,1,3", 16),
+    ("22:1,3,18", 22),
 ]
 
 
@@ -240,12 +243,12 @@ ORACLE_SPECS = SUITE_3D + [
 def test_enumeration_matches_oracle(spec, order):
     G = get_group(spec)
     fps = get_fixed_points(spec)
-    oracle = brute_force_fixed_points(G, cap=16)
+    oracle = brute_force_fixed_points(G)
     assert len(oracle) == order
     assert [gg.to_json() for gg in fps] == [gg.to_json() for gg in oracle]
 
 
-# Cyclic orders 17-23 lie above the oracle cap, where the scan is the only
+# Cyclic orders 17-23; at 23, above the oracle cap, the scan is the only
 # independent enumeration; 18:1,17,0 is not an isolated singularity.
 SCAN_SPECS = [spec for spec, _ in SUITE_3D] + [
     "17:1,2,14",
@@ -267,9 +270,9 @@ def test_enumeration_matches_parameter_box_scan(spec):
     assert len(fast) == get_group(spec).order
 
 
-# Above the oracle cap: every cyclic order n in 19-53, with weights 1, w and
-# n - 1 - w for w = 2 + 3 (n mod 5), order 101, the 6x6 and 10x10 groups and
-# a three-generator group of order 27
+# Mostly above the oracle cap: every cyclic order n in 19-53, with weights
+# 1, w and n - 1 - w for w = 2 + 3 (n mod 5), order 101, the 6x6 and 10x10
+# groups and a three-generator group of order 27
 AD_SEARCH_SPECS = [f"{n}:1,{2 + n % 5 * 3},{n - 3 - n % 5 * 3}" for n in range(19, 54)] + [
     "101:1,2,98",
     "6:1,5,0;6:0,1,5",
@@ -287,15 +290,33 @@ def test_enumeration_matches_ad_search(spec):
     assert len(fast) == G.order
 
 
-def test_oracle_cap_enforced():
-    with pytest.raises(OracleCapError):
-        brute_force_fixed_points(get_group("7:1,2,4"), cap=5)
+def test_oracle_cap_enforced(monkeypatch):
+    # the guard reads the constant at call time and refuses before any search
+    monkeypatch.setattr(ggraph, "ORACLE_CAP", 5)
+    monkeypatch.setattr(ggraph, "is_ggraph", None)  # any search would call it
+    with pytest.raises(OracleCapError, match="group order 7 exceeds the oracle cap 5"):
+        brute_force_fixed_points(get_group("7:1,2,4"))
+
+
+def test_oracle_agreement_above_the_cap_does_not_run_the_oracle(monkeypatch):
+    # oracle_agreement alone compares |G| with the cap, and it calls the
+    # oracle through the module's name, where the benchmark tracer patches it
+    real = ggraph.brute_force_fixed_points
+    calls = []
+    monkeypatch.setattr(ggraph, "brute_force_fixed_points", lambda G: calls.append(G) or real(G))
+    G, fps = get_group("7:1,2,4"), get_fixed_points("7:1,2,4")
+    monkeypatch.setattr(ggraph, "ORACLE_CAP", 6)
+    assert ggraph.oracle_agreement(G, fps) is None
+    assert calls == []
+    monkeypatch.setattr(ggraph, "ORACLE_CAP", 7)
+    assert ggraph.oracle_agreement(G, fps) == (True, 7)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("spec,order", SUITE_3D)
 def test_staircase_invariants(spec, order):
     G = get_group(spec)
-    for gg in get_fixed_points(spec) + brute_force_fixed_points(G, cap=16):
+    for gg in get_fixed_points(spec) + brute_force_fixed_points(G):
         assert (0, 0, 0) in gg.gamma
         assert (1, 1, 1) not in gg.gamma
         assert len(set(gg.to_json()["characters"])) == order

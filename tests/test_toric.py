@@ -211,8 +211,11 @@ def test_noninvariant_triple_fails_invariance(spec, order, monkeypatch):
 
 
 def test_dual_rays_crepancy_alarm():
-    with pytest.raises(ChartError, match="coordinate sum 1/2, not 1"):
+    # the ray and its coordinate sum in the c/R form of the fan's JSON
+    with pytest.raises(ChartError, match=r"^ray \(0, 0, 1/2\) has coordinate sum 1/2, not 1$"):
         dual_rays(((1, 0, 0), (0, 1, 0), (0, 0, 2)), 2)
+    with pytest.raises(ChartError, match=r"^ray \(1, 0, -2/3\) has a negative coordinate$"):
+        dual_rays(((1, 0, 0), (0, 1, 0), (2, 2, 3)), 3)
 
 
 def test_noninvariant_exponent_rejected():
@@ -306,3 +309,36 @@ def test_ray_text_reduces_signs_and_zero_like_fraction():
     for R in (1, 2, 6, 12):
         for c in range(-2 * R, 2 * R + 1):
             assert toric._text((c, 0, -c), R) == [str(Fraction(c, R)), "0", str(Fraction(-c, R))]
+
+
+def test_a_ray_set_fault_lists_the_rays_as_text_sorted_by_vector():
+    # the cones of 7:1,2,4 glued for 7:1,1,5: same coordinate rays, other
+    # junior rays; each list is sorted by R*ray, not by its text
+    with pytest.raises(FanError) as exc:
+        build_fan(get_group("7:1,1,5"), get_cones("7:1,2,4"))
+    assert exc.value.details == {
+        "missing": [["1/7", "1/7", "5/7"], ["2/7", "2/7", "3/7"], ["3/7", "3/7", "1/7"]],
+        "extra": [["1/7", "2/7", "4/7"], ["2/7", "4/7", "1/7"], ["4/7", "1/7", "2/7"]],
+    }
+    with pytest.raises(FanError) as exc:
+        build_fan(get_group("7:1,2,4"), [])
+    assert exc.value.details["missing"] == [
+        ["0", "0", "1"],
+        ["0", "1", "0"],
+        ["1/7", "2/7", "4/7"],
+        ["2/7", "4/7", "1/7"],
+        ["4/7", "1/7", "2/7"],
+        ["1", "0", "0"],
+    ]
+
+
+def test_a_facet_fault_keys_its_facets_by_ray_text():
+    # the first cone copied over the last: its facets get one or three owners
+    cones = get_cones("7:1,2,4")
+    cones = [*cones[:-1], replace(cones[0], owner=len(cones) - 1)]
+    with pytest.raises(FanError, match="facet pairing failed") as exc:
+        build_fan(get_group("7:1,2,4"), cones)
+    facets = exc.value.details["facets"]
+    assert facets["(0, 0, 1)|(1/7, 2/7, 4/7)"] == {"cones": [5], "expected": 2, "boundary": False}
+    assert facets["(0, 1, 0)|(1, 0, 0)"] == {"cones": [0, 6], "expected": 1, "boundary": True}
+    assert "Fraction" not in repr(facets)
