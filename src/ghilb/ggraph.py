@@ -38,8 +38,8 @@ class OracleCapError(ValueError):
 
 # The largest group order the brute-force oracle runs on: the largest at
 # which it costs no more CPU time than the rest of verify (on cyclic groups,
-# at most 0.99 times the rest at order 22, up to 1.2 times at 23).
-ORACLE_CAP = 22
+# at most 0.9 times the rest at order 32, up to 1.3 times at 33).
+ORACLE_CAP = 32
 
 
 def mono_mul(u: Monomial, v: Monomial) -> Monomial:
@@ -369,68 +369,71 @@ def enumerate_fixed_points(G: AbelianGroup) -> list[GGraph]:
 
 
 def brute_force_fixed_points(G: AbelianGroup) -> list[GGraph]:
-    """Independent oracle: depth-first search over admissible staircases.
+    """Independent oracle: depth-first search over staircase column heights.
 
-    Staircases are grown one monomial at a time in increasing (degree, lex)
-    order, so each candidate set is visited exactly once.  Only monomials
-    with a zero exponent are eligible (xyz shares the trivial character with
-    1, hence lies in every fixed ideal), and a monomial is only added when
-    its character is still unused.
-
-    The search carries the frontier of its staircase: the monomials outside
-    it all of whose lowerings lie in it, which are the staircase ideal's
-    minimal generators.  Adding a frontier monomial s removes s from the
-    frontier and can add only raisings s * x_axis, those whose lowerings
-    all lie in the new staircase: any other monomial has the same lowerings
-    as before.  Each full staircase builds its ideal from its frontier and
-    is revalidated by is_ggraph, so the oracle shares nothing with the
-    parameter solve of enumerate_fixed_points.
+    A staircase is its column heights h(i, j), which do not increase along a
+    row or down a column.  The columns are decided in lexicographic order:
+    height 0 ends row i at column j > 0; otherwise the cells (i, j, 0),
+    (i, j, 1), ... join one at a time, each capped by h(i - 1, j) and
+    h(i, j - 1), while its character is unused (xyz has the character of 1,
+    so it never joins).  So each staircase is visited once, and recorded on
+    reaching |G| cells by its generators: the column tops, the row ends and
+    x^alpha past the last row.  is_ggraph revalidates each after the search,
+    so the oracle shares nothing with the parameter solve of
+    enumerate_fixed_points.
     """
     if G.order > ORACLE_CAP:
         raise OracleCapError(f"group order {G.order} exceeds the oracle cap {ORACLE_CAP}")
     N = G.order
     ci = G.char_index
+    used = [False] * N
+    rows: list[list[int]] = [[]]  # the column heights, row by row
+    found: list[list[Monomial]] = []
 
-    def key(m: Monomial):
-        return (m[0] + m[1] + m[2], m)
+    def column(cells: int) -> None:
+        row = rows[-1]
+        i, j = len(rows) - 1, len(row)
+        cap = N
+        if i:
+            cap = rows[-2][j] if j < len(rows[-2]) else 0
+        if j:  # height 0 ends the row
+            cap = min(cap, row[-1])
+            rows.append([])
+            column(cells)
+            rows.pop()
+        row.append(0)
+        chars = []
+        for k in range(cap):
+            c = ci((i, j, k))
+            if used[c]:
+                break
+            used[c] = True
+            chars.append(c)
+            row[-1] += 1
+            cells += 1
+            if cells == N:
+                found.append(
+                    [(u, v, h) for u, hs in enumerate(rows) for v, h in enumerate(hs)]
+                    + [(u, len(hs), 0) for u, hs in enumerate(rows)]
+                    + [(len(rows), 0, 0)]
+                )
+                break
+            column(cells)
+        row.pop()
+        for c in chars:
+            used[c] = False
 
-    results: list[GGraph] = []
-
-    def raisings(gamma: set[Monomial], s: Monomial) -> set[Monomial]:
-        """The raisings of s, just added to gamma, all of whose lowerings lie in gamma."""
-        found = set()
-        for axis in range(3):
-            r = list(s)
-            r[axis] += 1
-            if all(ax == axis or not r[ax] or _lowered(r, ax) in gamma for ax in range(3)):
-                found.add(tuple(r))
-        return found
-
-    def close(gamma: set[Monomial], frontier: set[Monomial]) -> None:
-        gg = is_ggraph(G, MonomialIdeal.from_generators(frontier))
+    column(0)
+    results = []
+    for gens in found:
+        ideal = MonomialIdeal.from_generators(gens)
+        gg = is_ggraph(G, ideal)
         if gg is None:
             raise RuntimeError(
-                f"oracle staircase {sorted(gamma)} failed revalidation; "
+                f"oracle staircase with generators {ideal.gens} failed revalidation; "
                 "enumeration and validation disagree"
             )
         results.append(gg)
-
-    def dfs(gamma: set[Monomial], used: set[int], frontier: set[Monomial], last) -> None:
-        if len(gamma) == N:
-            close(gamma, frontier)
-            return
-        for s in sorted((s for s in frontier if min(s) == 0 and key(s) > last), key=key):
-            c = ci(s)
-            if c in used:
-                continue
-            gamma.add(s)
-            used.add(c)
-            dfs(gamma, used, (frontier - {s}) | raisings(gamma, s), key(s))
-            gamma.discard(s)
-            used.discard(c)
-
-    one = (0, 0, 0)
-    dfs({one}, {ci(one)}, raisings({one}, one), key(one))
     results.sort(key=lambda gg: gg.gamma)
     return results
 
@@ -444,9 +447,3 @@ def oracle_agreement(G: AbelianGroup, fixed_points: list[GGraph]) -> tuple[bool,
         return None
     oracle = brute_force_fixed_points(G)
     return [gg.to_json() for gg in fixed_points] == [gg.to_json() for gg in oracle], len(oracle)
-
-
-def _lowered(m: Monomial, axis: int) -> Monomial:
-    s = list(m)
-    s[axis] -= 1
-    return tuple(s)

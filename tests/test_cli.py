@@ -52,8 +52,8 @@ def test_quiver_builds_its_matrices_once(capsys, monkeypatch):
 
 
 def test_fixed_points_command(capsys):
-    # 22:1,3,18 is at the oracle cap, so the oracle runs on it too
-    for spec, order in (("2:1,1,0;2:1,0,1", 4), ("22:1,3,18", 22)):
+    # 32:1,12,19 is at the oracle cap, so the oracle runs on it too
+    for spec, order in (("2:1,1,0;2:1,0,1", 4), ("32:1,12,19", 32)):
         code, out, _ = run(capsys, "fixed-points", "--group", spec)
         assert code == 0
         payload = json.loads(out)
@@ -146,7 +146,7 @@ def test_verify_with_no_work_is_never_ok(capsys, monkeypatch):
 
 
 def test_skipped_oracle_is_not_ok(capsys):
-    spec = "23:1,4,18"  # the least cyclic order above the oracle cap
+    spec = "33:1,4,28"  # the least cyclic order above the oracle cap
     assert get_group(spec).order == ggraph.ORACLE_CAP + 1
     code, out, err = run(capsys, "verify", "--group", spec)
     assert code == 0
@@ -204,6 +204,18 @@ def test_internal_fault_names_its_layer(capsys, monkeypatch):
         assert list(record) == ["error"]
 
 
+def test_oracle_revalidation_fault_names_the_oracle(capsys, monkeypatch):
+    # is_ggraph rejects every staircase, so the enumeration finds none and
+    # the oracle's first staircase fails revalidation in the oracle itself
+    monkeypatch.setattr(ggraph, "is_ggraph", lambda G, ideal: None)
+    code = console_main(["fixed-points", "--group", "7:1,2,4"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert record["error"]["type"] == "RuntimeError"
+    assert "failed revalidation" in record["error"]["message"]
+    assert record["error"]["layer"] == "ggraph.brute_force_fixed_points"
+
+
 def test_console_main_keeps_the_other_exit_codes(capsys):
     assert console_main(["group", "--group", "7:1,2,4"]) == 0
     assert console_main(["verify", "--group", "7:1,2"]) == 2
@@ -246,7 +258,7 @@ def test_options_a_command_does_not_read_are_refused(capsys, command, flag):
     [
         (["fixed-points", "--group", "7:1,2,4"], "fixed-points_7-1-2-4.json"),
         # above the oracle cap: no oracle_agreement key
-        (["fixed-points", "--group", "23:1,4,18"], "fixed-points_23-1-4-18.json"),
+        (["fixed-points", "--group", "33:1,4,28"], "fixed-points_33-1-4-28.json"),
         (["fan", "--group", "13:1,3,9"], "fan_13-1-3-9.json"),
         (["fan", "--group", "3:1,2,0;3:0,1,2"], "fan_3-1-2-0_3-0-1-2.json"),
         (["fan", "--group", "37:1,10,26"], "fan_37-1-10-26.json"),

@@ -227,8 +227,8 @@ def test_enumeration_count_and_identities(spec, order):
         assert count_identity_value(gg.kind, gg.params) == order
 
 
-# Up to the oracle cap 22: 22:1,3,18 is at it, and of the cyclic groups of
-# order 22 its oracle costs the most against the rest of verify
+# Up to the oracle cap 32: 32:1,12,19 is at it, and of the cyclic groups of
+# order 32 its oracle costs about the most against the rest of verify
 ORACLE_SPECS = SUITE_3D + [
     ("13:1,3,9", 13),
     ("3:1,2,0;3:0,1,2", 9),
@@ -236,6 +236,9 @@ ORACLE_SPECS = SUITE_3D + [
     ("16:1,3,12", 16),
     ("4:1,3,0;4:0,1,3", 16),
     ("22:1,3,18", 22),
+    ("23:1,4,18", 23),
+    ("32:1,12,19", 32),
+    ("5:1,4,0;5:0,1,4", 25),
 ]
 
 
@@ -245,11 +248,13 @@ def test_enumeration_matches_oracle(spec, order):
     fps = get_fixed_points(spec)
     oracle = brute_force_fixed_points(G)
     assert len(oracle) == order
+    # the search visits each staircase once
+    assert len({gg.ideal.gens for gg in oracle}) == order
     assert [gg.to_json() for gg in fps] == [gg.to_json() for gg in oracle]
 
 
-# Cyclic orders 17-23; at 23, above the oracle cap, the scan is the only
-# independent enumeration; 18:1,17,0 is not an isolated singularity.
+# Cyclic orders 17-23, a second enumeration next to the oracle's;
+# 18:1,17,0 is not an isolated singularity.
 SCAN_SPECS = [spec for spec, _ in SUITE_3D] + [
     "17:1,2,14",
     "18:1,17,0",
