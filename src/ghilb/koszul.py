@@ -5,9 +5,9 @@ representation with commuting B's.  G is abelian, so every character line
 is one-dimensional: each B_alpha is one scalar per arrow c -> c + chi_alpha
 of the McKay quiver, chi_alpha being the character of x_alpha, and the
 cyclic vector i spans the line of the trivial character 0.  A module is
-held in exactly that form (``ModuleRep``): one coefficient per arrow over
-one positive denominator, indexed by character the same way for every
-module of G, with the arrow targets one table per group (``G.arrows``).
+held in exactly that form (``ModuleRep``): one int coefficient per arrow,
+indexed by character the same way for every module of G, with the arrow
+targets one table per group (``G.arrows``).
 
 At a chart point with coordinates (lambda, mu, nu), line c is spanned by the
 staircase monomial m of character c, and the coefficient of its arrow along
@@ -20,21 +20,18 @@ x_alpha * m - m' with ray i; a negative or fractional exponent means the
 cone is not the staircase's chart and raises ``toric.ChartError``.  Each
 arrow's exponent triple depends only on the staircase and the cone and is
 computed once per fixed point (``chart``); a module at a chart point then
-costs only the power tables of its coordinates (``build_rep``).  Its
-coefficients are int numerators over one module denominator D, the product
-of each coordinate's denominator to the chart's top exponent on it, so no
-check does Fraction arithmetic.
+costs only the power tables of its coordinates (``build_rep``).  Every
+point of a chart is a G-cluster, so the chart samples are drawn at integer
+points (``sample_chart_points``) and every coefficient is an int.
 
 One complex builder reads two modules on their common character indexing:
 the two-module complex with differential B2 ^ eta - eta ^ B1, whose middle
 homology computes the equivariant Hom into the quotient
-(``koszul_differentials``).  When the denominators D1 and D2 differ, each
-module's numerators are first scaled to the other's denominator, which makes
-every differential one nonzero multiple of the true one.  The four-term
-wedge complex of a single module, whose homology at a fixed point is the
-Betti table of the staircase ideal, is the same complex from the zero
-module, the regular representation with every B zero, so that only the
-second module's terms are left (``cpxnil_differentials``).  Both go through
+(``koszul_differentials``).  The four-term wedge complex of a single
+module, whose homology at a fixed point is the Betti table of the staircase
+ideal, is the same complex from the zero module, the regular representation
+with every B zero, so that only the second module's terms are left
+(``cpxnil_differentials``).  Both go through
 one homology route, ``reduced_homology``: every row of d3 and every column
 of d1 has at most two terms, so each is held as a flat row (u, a, v, b),
 read straight off the coefficient lists and the arrow tables (the wedge
@@ -49,10 +46,8 @@ commute (``ModuleRep.commutes``, checked once per module).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
 from typing import Callable, Container, NamedTuple
 
 from . import linalg, toric
@@ -81,20 +76,14 @@ class Chart(NamedTuple):
 
 @dataclass(frozen=True)
 class ModuleRep:
-    """A module of G, built at the point coords of a fixed point's chart.
+    """A module of G, built at a point of a fixed point's chart.
 
-    B_alpha sends line c to line group.arrows[alpha][c] with coefficient
-    coeffs[alpha][c] / denominator, and the cyclic vector spans line 0.
-    build_rep gives int numerators over a positive int denominator D.  The
-    commutation check reads the numerators as they are, since D scales both
-    sides of each comparison by D^2; the pair complex scales each module to
-    the other's denominator first (koszul_differentials).
+    B_alpha sends line c to line group.arrows[alpha][c] with int coefficient
+    coeffs[alpha][c], and the cyclic vector spans line 0.
     """
 
     group: AbelianGroup = field(repr=False, compare=False)
-    coords: tuple[Fraction, Fraction, Fraction]
     coeffs: tuple[list, list, list]
-    denominator: int = 1
 
     @cached_property
     def commutes(self) -> bool:
@@ -134,7 +123,8 @@ def chart(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> Chart:
                 power, rest = divmod(pairing, R)
                 if power < 0 or rest:
                     raise toric.ChartError(
-                        f"x_{alpha} * {gg.by_char[c]} has exponent {Fraction(pairing, R)} "
+                        f"x_{alpha} * {gg.by_char[c]} has exponent "
+                        f"{toric.fraction_text(pairing, R)} "
                         f"on coordinate {i} of the chart of fixed point {cone.owner}; "
                         "the cone is not this staircase's chart"
                     )
@@ -145,28 +135,17 @@ def chart(G: AbelianGroup, gg: GGraph, cone: toric.ChartCone) -> Chart:
     return Chart(G, tuple(slot_of), tuple(slots), top)
 
 
-def build_rep(chart: Chart, coords: tuple) -> ModuleRep:
-    """The module at the chart point with these coordinates, on ints.
+def build_rep(chart: Chart, coords: tuple[int, int, int]) -> ModuleRep:
+    """The module at the chart point with these integer coordinates.
 
-    With coordinate i equal to p_i / q_i and E_i the chart's top exponent on
-    it, the module denominator is D = prod q_i^E_i and the numerator of the
-    coefficient with exponents e is prod p_i^e_i * q_i^(E_i - e_i), read
-    from one integer table per coordinate; each distinct exponent triple is
-    raised once, and (0, 0, 0) gives the fixed point's module.
+    The coefficient with exponents e is prod coords_i^e_i, read from one
+    power table per coordinate; each distinct exponent triple is raised
+    once, and (0, 0, 0) gives the fixed point's module.
     """
-    tables = []
-    denominator = 1
-    for coord, top in zip(coords, chart.top):
-        p, q = coord.numerator, coord.denominator
-        table = [q**top]
-        for _ in range(top):
-            table.append(table[-1] // q * p)
-        tables.append(table)
-        denominator *= table[0]
-    tx, ty, tz = tables
+    tx, ty, tz = ([coord**e for e in range(top + 1)] for coord, top in zip(coords, chart.top))
     values = [tx[i] * ty[j] * tz[k] for i, j, k in chart.exponents]
     coeffs = tuple([values[s] for s in column] for column in chart.slots)
-    return ModuleRep(chart.group, coords, coeffs, denominator)
+    return ModuleRep(chart.group, coeffs)
 
 
 class Complex(NamedTuple):
@@ -217,10 +196,9 @@ def cpxnil_differentials(rep: ModuleRep) -> Complex:
     koszul_differentials read from it is zero: the empty slot of a flat row
     of d3 or d1, and never an entry of d2.  What is left is the wedge
     complex d3 = (Bx; By; Bz), d2 = ((-By, Bx, 0); (-Bz, 0, Bx); (0, -Bz, By))
-    and d1 = (Bz, -By, Bx), up to the order of its cells.  The zero module
-    takes rep's denominator, so that neither module is rescaled.
+    and d1 = (Bz, -By, Bx), up to the order of its cells.
     """
-    zero = replace(rep, coeffs=tuple([0] * len(cs) for cs in rep.coeffs))
+    zero = ModuleRep(rep.group, tuple([0] * len(cs) for cs in rep.coeffs))
     return koszul_differentials(rep.group, zero, rep)
 
 
@@ -242,10 +220,6 @@ def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep) -> C
     factor, so the spaces have dimensions n, 3n, 3n, n.  The differential
     is the graded commutator with the two multiplication maps; both modules
     are read on the character lines of G, so both must be modules of G.
-    Their coefficients are numerators over each module's denominator D1,
-    D2; when these differ, the first module's numerators are multiplied by
-    D2 / g and the second's by D1 / g, g = gcd(D1, D2), so that every
-    differential is D1 * D2 / g times the true one and has its rank.
 
     Row (alpha, c) of d3 and column (p, c) of d1 are flat rows read
     straight off the coefficient lists and the arrow tables; a zero
@@ -254,11 +228,7 @@ def koszul_differentials(G: AbelianGroup, rep1: ModuleRep, rep2: ModuleRep) -> C
     """
     if rep1.group is not G or rep2.group is not G:
         raise ValueError("both modules must be modules of this group")
-    (b1, den1), (b2, den2) = (rep1.coeffs, rep1.denominator), (rep2.coeffs, rep2.denominator)
-    if den1 != den2:
-        g = gcd(den1, den2)
-        b1 = [[c * (den2 // g) for c in cs] for cs in b1]
-        b2 = [[c * (den1 // g) for c in cs] for cs in b2]
+    b1, b2 = rep1.coeffs, rep2.coeffs
     shift = G.arrows
     n = G.order
     lines = range(n)
@@ -325,12 +295,16 @@ def koszul_homology(
     return reduced_homology(cx)
 
 
-def sample_chart_points(count: int, rng: random.Random) -> list[tuple[Fraction, ...]]:
-    """Coordinates of seeded chart points: nonzero rationals of small height."""
-    return [
-        tuple(
-            Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1))
-            for _ in range(3)
-        )
-        for _ in range(count)
-    ]
+def sample_chart_points(count: int, rng: random.Random) -> list[tuple[int, int, int]]:
+    """Coordinates of count distinct seeded chart points, out of 1000.
+
+    Each coordinate is an int of modulus 2 to 6, of either sign, so its
+    powers are all distinct and an exponent off by one changes the
+    coefficient it is in.  A point equal to one drawn before is drawn again.
+    """
+    points: list[tuple[int, int, int]] = []
+    while len(points) < count:
+        point = tuple(rng.randint(2, 6) * rng.choice((1, -1)) for _ in range(3))
+        if point not in points:
+            points.append(point)
+    return points

@@ -119,7 +119,7 @@ def _find(parent: list[int], num: list[int], den: list[int], u: int) -> tuple[in
     """(root, p, q) with x_u / x_root = p / q, for a node two or more links below its root.
 
     Compresses the path: each node on it is reattached to the root, with its
-    ratio to the root, reduced by gcd unless the denominator is 1.
+    ratio to the root, reduced by gcd unless q is 1.
     """
     path = [u]
     root = parent[u]
@@ -181,7 +181,7 @@ def rank_dense(mat) -> int:
 
 
 def det3(m):
-    """Determinant of a 3x3 matrix of ints or Fractions, by cofactor expansion."""
+    """Determinant of a 3x3 matrix, by cofactor expansion."""
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 

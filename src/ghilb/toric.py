@@ -48,15 +48,15 @@ class ChartCone:
     rays: tuple[Vector, Vector, Vector]
 
 
-def _fraction(c: int, R: int) -> str:
-    """c/R as str(Fraction(c, R)) writes it, with no Fraction built."""
+def fraction_text(c: int, R: int) -> str:
+    """c/R in lowest terms with its sign on top, as p/q, or p when q is 1."""
     p, q = linalg.reduced(c, R)
     return f"{p}/{q}" if q != 1 else str(p)
 
 
 def _text(ray: Vector, R: int) -> list[str]:
     """The ray held as R*ray written out as the vector it stands for, c/R."""
-    return [_fraction(c, R) for c in ray]
+    return [fraction_text(c, R) for c in ray]
 
 
 def _ray_str(ray: Vector, R: int) -> str:
@@ -116,7 +116,7 @@ def dual_rays(dual_gens, R: int) -> tuple[Vector, Vector, Vector]:
             raise ChartError(f"ray {_ray_str(ray, R)} has a negative coordinate")
         if sum(ray) != R:
             raise ChartError(
-                f"ray {_ray_str(ray, R)} has coordinate sum {_fraction(sum(ray), R)}, not 1"
+                f"ray {_ray_str(ray, R)} has coordinate sum {fraction_text(sum(ray), R)}, not 1"
             )
     return rays
 

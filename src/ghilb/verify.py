@@ -13,8 +13,8 @@ tuple, and it is reported and counted in checked as a pair of its own
 (_koszul_pairs_check).
 The wedge complex of each fixed-point module must have the Betti table of
 the enumerated ideal as its homology (fixed_point_betti).  Each chart
-draws one pair of sample points, whose pair complex must be exact
-(chart_samples).
+draws one pair of distinct integer sample points, whose pair complex must
+be exact (chart_samples).
 What holds by construction is not checked: the identities of the wedge
 matrices (tests/test_mckay.py pins them), and the ADHM relations and
 support on one free orbit of the modules at fixed and sample points
@@ -84,7 +84,7 @@ def verification_report(G: AbelianGroup, *, seed: int) -> dict:
 
     agreement = ggraph.oracle_agreement(G, fps)
     if agreement is None:
-        skipped = f"group order {G.order} above oracle cap {ggraph.ORACLE_CAP}"
+        skipped = f"group order {G.order} above the oracle cap"
         checks.append({"name": "oracle_agreement", "pass": True, "skipped": skipped, "details": {}})
     else:
         agree, found = agreement
@@ -228,25 +228,21 @@ def _chart_samples_check(charts, seed) -> dict:
     the coordinates.  A fixed-point module built wrong anyway is refused by
     the homology or fails fixed_point_betti.  A sample module whose B's do
     not commute is a failure naming its sample, and its pair is not ranked.
-    checked counts the charts whose pair was ranked or refused; a chart
-    that draws two equal points has neither.
+    The two points of a pair are distinct (koszul.sample_chart_points), so
+    every chart is checked.
     """
     if charts is None:
         return _charts_failed("chart_samples", "samples not computed")
     failures: list[dict] = []
-    checked = 0
     for k, chart in enumerate(charts):
         points = koszul.sample_chart_points(2, seeded_rng(seed, k))
         reps = [koszul.build_rep(chart, coords) for coords in points]
         for s, rep in enumerate(reps):
             _compare(failures, {"commutes": rep.commutes}, {"commutes": True}, fixed_point=k, sample=s)
         if all(rep.commutes for rep in reps):
-            if reps[0].coords == reps[1].coords:
-                continue
             h = koszul.koszul_homology(chart.group, reps[0], reps[1])
             _compare(failures, list(h), list(KOSZUL_DISTINCT), fixed_point=k, sample=[0, 1])
-        checked += 1
-    return _per_object("chart_samples", checked, len(charts), failures)
+    return _per_object("chart_samples", len(charts), len(charts), failures)
 
 
 def render_report(report: dict) -> str:

@@ -47,11 +47,11 @@ monomial rewriting with the seven chart relations, on the staircase basis,
 against which the closed form of koszul.chart and koszul.build_rep is
 checked once reindexed by character.
 
-build_rep_fractions: the chart-point module with Fraction coefficients,
-put over their least common denominator, against which koszul.build_rep's
-int numerators over prod q_i^E_i are checked.  Every module handed to the
-package carries int numerators over one int denominator, the form
-build_rep gives, since its rank kernel takes only int rows.
+build_rep_fractions: the chart-point module with each coefficient the
+product of Fraction powers of the integer coordinates, one coefficient at a
+time, against which koszul.build_rep's power tables are checked.  Every
+module handed to the package carries int coefficients, the form build_rep
+gives, since its rank kernel takes only int rows.
 
 Every module below is read on character lines, line c spanned by the
 staircase monomial of character c, with its own McKay arrows (arrows), not
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 from ghilb.ggraph import (
     GGraph,
@@ -553,9 +553,8 @@ def rewrite_matrices(G: AbelianGroup, gg: GGraph, coords, cone) -> tuple:
 
 
 def build_rep_fractions(chart: Chart, coords: tuple) -> ModuleRep:
-    """The module at the chart point with these coordinates, each coefficient
-    the product of Fraction powers of the coordinates, over their least
-    common denominator."""
+    """The module at the chart point with these integer coordinates, each
+    coefficient the product of Fraction powers of the coordinates."""
     powers = [[Fraction(1)] for _ in coords]
     values = []
     for key in chart.exponents:
@@ -565,17 +564,14 @@ def build_rep_fractions(chart: Chart, coords: tuple) -> ModuleRep:
                 table.append(table[-1] * coord)
             coeff *= table[power]
         values.append(coeff)
-    return _over_common_denominator(
-        chart.group, coords, [[values[s] for s in column] for column in chart.slots]
-    )
+    return _int_module(chart.group, [[values[s] for s in column] for column in chart.slots])
 
 
-def _over_common_denominator(group, coords, values) -> ModuleRep:
-    """The module with these Fraction coefficients per arrow, as int
-    numerators over their least common denominator."""
-    den = lcm(*(x.denominator for cs in values for x in cs))
-    coeffs = tuple([x.numerator * (den // x.denominator) for x in cs] for cs in values)
-    return ModuleRep(group, coords, coeffs, den)
+def _int_module(group, values) -> ModuleRep:
+    """The module with these coefficients per arrow, which must be integers."""
+    if any(Fraction(x).denominator != 1 for cs in values for x in cs):
+        raise ValueError("a module of the package has int coefficients")
+    return ModuleRep(group, tuple([int(x) for x in cs] for cs in values))
 
 
 def dense_matrices(rep: ModuleRep):
@@ -586,24 +582,23 @@ def dense_matrices(rep: ModuleRep):
     for cs, ts in zip(rep.coeffs, arrows(rep.group)):
         mat = [[Fraction(0)] * n for _ in range(n)]
         for col, (c, t) in enumerate(zip(cs, ts)):
-            mat[t][col] = Fraction(c) / rep.denominator
+            mat[t][col] = Fraction(c)
         mats.append(tuple(tuple(row) for row in mat))
     i_vec = tuple(Fraction(int(k == 0)) for k in range(n))
     return tuple(mats), i_vec
 
 
 def module_from_dense(rep: ModuleRep, b) -> ModuleRep | None:
-    """rep's group and point with dense matrices b on character lines, or
-    None when some entry of b lies off its arrow (then b is not a module of
-    G).  The entries become int numerators over their least common
-    denominator."""
+    """rep's group with dense matrices b on character lines, or None when
+    some entry of b lies off its arrow (then b is not a module of G).  The
+    entries must be integers."""
     values = []
     for mat, ts in zip(b, arrows(rep.group)):
         for r, row in enumerate(mat):
             if any(x and r != ts[c] for c, x in enumerate(row)):
                 return None
-        values.append([Fraction(mat[t][c]) for c, t in enumerate(ts)])
-    return _over_common_denominator(rep.group, rep.coords, values)
+        values.append([mat[t][c] for c, t in enumerate(ts)])
+    return _int_module(rep.group, values)
 
 
 def _walk(rep: ModuleRep, targets, word, line: int):

@@ -103,7 +103,7 @@ def test_verify_is_deterministic(capsys, tmp_path):
     "spec,golden",
     # 6:1,5,0 has a zero weight: x_3 * m has m's character, so the pair
     # complexes' rows merge coinciding columns; the 3x3 group has two
-    # generators, and its chart samples carry unequal denominators
+    # generators
     [
         ("7:1,2,4", "verify_7-1-2-4_seed0.json"),
         ("6:1,5,0", "verify_6-1-5-0_seed0.json"),
@@ -150,7 +150,7 @@ def test_skipped_oracle_is_not_ok(capsys):
     assert get_group(spec).order == ggraph.ORACLE_CAP + 1
     code, out, err = run(capsys, "verify", "--group", spec)
     assert code == 0
-    skipped = f"group order {ggraph.ORACLE_CAP + 1} above oracle cap {ggraph.ORACLE_CAP}"
+    skipped = f"group order {ggraph.ORACLE_CAP + 1} above the oracle cap"
     assert f"  skip  oracle_agreement [skipped: {skipped}]" in err
     oracle = next(c for c in json.loads(out)["checks"] if c["name"] == "oracle_agreement")
     assert oracle["status"] == "skip"
@@ -481,11 +481,20 @@ def test_betti_check_counts_the_fixed_points_enumerated(capsys, monkeypatch):
     assert checks["fixed_point_betti"]["status"] == "ok"
 
 
+# The chart error of a corrupted character table: an exponent c/R written
+# as a reduced fraction.
+TABLE_ERRORS = {
+    "7:1,2,4": "x_0 * (0, 0, 0) has exponent 3/7 on coordinate 0 of the chart of fixed point 2",
+    "13:1,3,9": "x_0 * (0, 0, 0) has exponent -6/13 on coordinate 1 of the chart of fixed point 2",
+}
+
+
 @pytest.mark.parametrize("spec", ["7:1,2,4", "13:1,3,9"])
 def test_a_corrupted_character_table_is_named(capsys, monkeypatch, spec):
     # fixed point 2 with the monomials of characters 1 and 2 swapped in its
     # table: its chart and every Hom entry into it read that table, so both
-    # checks name it, and no other fixed point
+    # checks name it, and no other fixed point; the chart's record gives the
+    # arrow, the exponent and the coordinate where it breaks
     real = ggraph.enumerate_fixed_points
 
     def planted(G):
@@ -499,7 +508,9 @@ def test_a_corrupted_character_table_is_named(capsys, monkeypatch, spec):
     code, out, _ = run(capsys, "verify", "--group", spec)
     assert code == 1
     checks = {c["name"]: c["details"] for c in json.loads(out)["checks"]}
-    assert [f["fixed_point"] for f in checks["charts_smooth_crepant"]["failures"]] == [2]
+    assert checks["charts_smooth_crepant"]["failures"] == [
+        {"fixed_point": 2, "error": f"{TABLE_ERRORS[spec]}; the cone is not this staircase's chart"}
+    ]
     pairs = [f["pair"] for f in checks["hom_matrix"]["failures"]]
     assert pairs and all(2 in pair for pair in pairs)
 
@@ -522,6 +533,14 @@ def test_a_failed_hom_entry_is_named(capsys, monkeypatch):
     }
 
 
+def _raised(table, s, i):
+    """The chart table with exponent i of slot s raised by 1, and top with it."""
+    exponents = [list(e) for e in table.exponents]
+    exponents[s][i] += 1
+    top = tuple(max(e[j] for e in exponents) for j in range(3))
+    return table._replace(exponents=tuple(map(tuple, exponents)), top=top)
+
+
 def _exponent_plus_one(table):
     """The chart table with its first nonzero exponent raised by 1 on the first coordinate.
 
@@ -529,11 +548,7 @@ def _exponent_plus_one(table):
     exponent was already positive, but at a chart point with first
     coordinate other than 0 or 1 the B's no longer commute.
     """
-    exponents = list(table.exponents)
-    s = next(s for s, e in enumerate(exponents) if any(e))
-    exponents[s] = (exponents[s][0] + 1, *exponents[s][1:])
-    top = tuple(max(e[i] for e in exponents) for i in range(3))
-    return table._replace(exponents=tuple(exponents), top=top)
+    return _raised(table, next(s for s, e in enumerate(table.exponents) if any(e)), 0)
 
 
 def test_a_failed_chart_sample_is_named(capsys, monkeypatch):
@@ -559,22 +574,38 @@ def test_a_failed_chart_sample_is_named(capsys, monkeypatch):
     assert not details["koszul_pairs"]["failures"] and not details["fixed_point_betti"]["failures"]
 
 
-def test_chart_samples_count_only_the_pairs_ranked(capsys, monkeypatch):
-    # the third chart drawn gets two equal points: its pair is not ranked,
-    # so it is not counted as checked
-    real = koszul.sample_chart_points
-    draws = []
+def _largest_exponent_plus_one(table):
+    """The chart table with its first largest exponent raised by 1."""
+    largest = max(map(max, table.exponents))
+    s, i = next((s, e.index(largest)) for s, e in enumerate(table.exponents) if largest in e)
+    return _raised(table, s, i)
 
-    def planted(count, rng):
-        points = real(count, rng)
-        draws.append(points)
-        return [points[0]] * count if len(draws) == 3 else points
 
-    monkeypatch.setattr(koszul, "sample_chart_points", planted)
+@pytest.mark.parametrize("spec", ["7:1,2,4", "13:1,3,9", "11:1,2,8"])
+def test_a_raised_chart_exponent_is_named_at_every_fixed_point_and_seed(spec):
+    # no sample coordinate has modulus 1, so no power of it hides the
+    # raised exponent: the samples of that chart name it on every draw
+    charts = get_charts(spec)
+    for k in range(len(charts)):
+        planted = list(charts)
+        planted[k] = _largest_exponent_plus_one(charts[k])
+        for seed in range(5):
+            failures = verify._chart_samples_check(planted, seed)["details"]["failures"]
+            assert failures and {f["fixed_point"] for f in failures} == {k}, (k, seed)
+
+
+def test_chart_samples_are_distinct_integer_points(capsys):
+    # 200 of the 1000 points force repeated draws, which are drawn again
+    for seed in range(3):
+        points = koszul.sample_chart_points(200, verify.seeded_rng(seed))
+        assert len(set(points)) == len(points) == 200
+        assert all(len(point) == 3 for point in points)
+        assert all(type(x) is int and 2 <= abs(x) <= 6 for point in points for x in point)
+        assert points == koszul.sample_chart_points(200, verify.seeded_rng(seed))
     code, out, _ = run(capsys, "verify", "--group", SPEC)
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["chart_samples"]["details"] == {"checked": 6, "total": 7, "failures": []}
+    assert checks["chart_samples"]["details"] == {"checked": 7, "total": 7, "failures": []}
 
 
 def _misclassified(monkeypatch, capsys, fault):

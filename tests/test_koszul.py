@@ -1,5 +1,5 @@
 from dataclasses import replace
-from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -55,7 +55,6 @@ def _on_character_lines(gg, mats):
 
 
 def _rep_at(spec, fp_index, coords):
-    coords = tuple(Fraction(c) for c in coords)
     return get_group(spec), build_rep(get_charts(spec)[fp_index], coords)
 
 
@@ -66,7 +65,7 @@ def test_involution_chart_matrices_frozen():
     x_index = next(
         k for k, gg in enumerate(get_fixed_points(spec)) if (1, 0, 0) in gg.gamma
     )
-    lam, mu, nu = Fraction(2, 3), Fraction(1, 5), Fraction(3)
+    lam, mu, nu = -2, 5, 3
     G, rep = _rep_at(spec, x_index, (lam, mu, nu))
     b, _ = dense_matrices(rep)
     assert b[0] == ((0, lam), (1, 0))
@@ -83,7 +82,7 @@ def test_closed_form_matches_rewriting(spec):
         cone = get_cones(spec)[k]
         (point,) = sample_chart_points(1, seeded_rng(41, k))
         for mask in range(8):
-            coords = tuple(Fraction(0) if mask >> i & 1 else c for i, c in enumerate(point))
+            coords = tuple(0 if mask >> i & 1 else c for i, c in enumerate(point))
             rep = build_rep(get_charts(spec)[k], coords)
             want = _on_character_lines(gg, rewrite_matrices(G, gg, coords, cone))
             assert dense_matrices(rep)[0] == want, (k, coords)
@@ -158,7 +157,7 @@ def test_cyclicity_fails_without_seed_reachability():
     # zeroing all matrices kills the Krylov span
     G, rep = _rep_at("2:1,1,0", 0, (1, 1, 1))
     n = G.order
-    zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     hollow = module_from_dense(rep, (zero, zero, zero))
     assert krylov_dim(hollow) == 1
     assert not verify_adhm(hollow)
@@ -263,9 +262,9 @@ def test_support_check_rational_spectrum_case():
 
 
 def test_support_check_irrational_spectrum_case():
-    # lambda = 2/3 has irrational eigenvalues +-sqrt(2/3); the retired orbit
+    # lambda = 2 has irrational eigenvalues +-sqrt(2); the retired orbit
     # check could only skip it
-    G, rep = _involution_x_rep((Fraction(2, 3), 1, 1))
+    G, rep = _involution_x_rep((2, 1, 1))
     assert support_check_walk(G, rep)
 
 
@@ -294,7 +293,7 @@ def test_support_check_fails_on_one_rescaled_coefficient(spec):
     assert support_check_walk(G, rep)
     for alpha in range(3):
         for col in range(G.order):
-            for factor in (Fraction(2), -1, 0):
+            for factor in (2, -1, 0):
                 assert not support_check_walk(G, _rescaled(rep, alpha, col, factor))
 
 
@@ -369,7 +368,7 @@ def test_non_commuting_module_is_refused():
 
 
 HOMOLOGY_SPECS = ["2:1,1,0", "3:1,1,1", "5:1,2,2", "6:1,5,0", "7:1,2,4", "2:1,1,0;2:1,0,1"]
-VALUE = st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)))
+VALUE = st.sampled_from((1, -1, 2, -2, 3))
 
 
 @st.composite
@@ -377,16 +376,22 @@ def planted_modules(draw, spec):
     """A module of spec at a fixed point or a chart point with some
     coordinates zero, with planted changes that keep it commuting: a diagonal
     change of basis, which rescales every coefficient on its own, and a
-    scalar on each B, zero among them, which drops ranks."""
+    scalar on each B, zero among them, which drops ranks.  Each scalar
+    carries the product of the diagonal, so that every coefficient stays
+    an int."""
     charts = get_charts(spec)
     chart_k = charts[draw(st.integers(0, len(charts) - 1))]
     coords = draw(st.tuples(*[st.one_of(st.just(0), VALUE)] * 3))
-    rep = build_rep(chart_k, tuple(Fraction(c) for c in coords))
+    rep = build_rep(chart_k, coords)
     n = chart_k.group.order
     diagonal = draw(st.lists(VALUE, min_size=n, max_size=n))
+    unit = prod(diagonal)
     scales = draw(st.tuples(*[st.one_of(st.just(1), st.just(0), VALUE)] * 3))
     mats = [
-        [[scale * diagonal[r] * x / diagonal[c] for c, x in enumerate(row)] for r, row in enumerate(mat)]
+        [
+            [scale * unit * diagonal[r] * x / diagonal[c] for c, x in enumerate(row)]
+            for r, row in enumerate(mat)
+        ]
         for mat, scale in zip(dense_matrices(rep)[0], scales)
     ]
     planted = module_from_dense(rep, mats)
@@ -450,42 +455,26 @@ def test_fixed_point_betti_names_planted_defects():
     assert [f["fixed_point"] for f in check["details"]["failures"]] == sorted((j, k))
 
 
-COORD = st.sampled_from(
-    (1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-4, 5), Fraction(5, 3))
-)
+COORD = st.sampled_from((1, -1, 2, -2, 3, -4, 5))
 ROUTE_SPECS = HOMOLOGY_SPECS + ["3:1,2,0;3:0,1,2"]
-
-
-@pytest.mark.parametrize("spec", ROUTE_SPECS)
-def test_build_rep_is_integral_over_one_denominator(spec):
-    for k, chart_k in enumerate(get_charts(spec)):
-        (point,) = sample_chart_points(1, seeded_rng(59, k))
-        for mask in range(8):
-            coords = tuple(Fraction(0) if mask >> i & 1 else c for i, c in enumerate(point))
-            rep = build_rep(chart_k, coords)
-            assert type(rep.denominator) is int and rep.denominator > 0
-            assert all(type(c) is int for cs in rep.coeffs for c in cs)
-            if mask == 7:
-                assert rep.denominator == 1
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_int_modules_match_the_fraction_route(data):
-    # modules at chart points with some coordinates zero, on int numerators
-    # and through the Fraction oracle: the same matrices and the same
-    # decisions; the pair complexes also mix the two routes, whose
-    # denominators differ whenever the coefficients' least common
-    # denominator is not prod q_i^E_i
+    # modules at chart points with some coordinates zero, on int
+    # coefficients from power tables and through the Fraction oracle: the
+    # same matrices and the same decisions; the pair complexes also mix the
+    # two routes
     spec = data.draw(st.sampled_from(ROUTE_SPECS))
     G, charts = get_group(spec), get_charts(spec)
     pairs = []
     for _ in range(2):
         chart_k = charts[data.draw(st.integers(0, len(charts) - 1))]
-        drawn = data.draw(st.tuples(*[st.one_of(st.just(0), COORD)] * 3))
-        coords = tuple(Fraction(c) for c in drawn)
+        coords = data.draw(st.tuples(*[st.one_of(st.just(0), COORD)] * 3))
         pairs.append((build_rep(chart_k, coords), build_rep_fractions(chart_k, coords)))
     for rep, oracle in pairs:
+        assert all(type(c) is int for cs in rep.coeffs for c in cs)
         assert dense_matrices(rep) == dense_matrices(oracle)
         assert rep.commutes == oracle.commutes
         assert verify_adhm(rep) == verify_adhm(oracle)
@@ -501,35 +490,20 @@ def test_int_modules_match_the_fraction_route(data):
         assert koszul_homology(G, a, b) == koszul_homology(G, ref_a, ref_b)
 
 
-def _scalar_multiple(mat, ref):
-    """The nonzero s with mat == s * ref entry by entry, or None if there is none."""
-    entries = [(x, y) for row, ref_row in zip(mat, ref) for x, y in zip(row, ref_row)]
-    scale = next((Fraction(x) / y for x, y in entries if y), None)
-    if scale and all(x == scale * y for x, y in entries):
-        return scale
-    return None
-
-
-SAMPLE_THIRDS = (Fraction(2, 3), Fraction(-1, 3), Fraction(4, 3))
-SAMPLE_HALVES = (Fraction(-3, 2), Fraction(1, 2), Fraction(5, 4))
-
-
 @pytest.mark.parametrize("spec", ["2:1,1,0;2:1,0,1", "3:1,2,0;3:0,1,2", "7:1,2,4"])
 def test_pair_differentials_are_scalar_multiples_of_the_fraction_route(spec):
-    # each differential on int numerators is one nonzero scalar times the
-    # Fraction route's, for two samples of one chart, for a sample against
-    # a fixed point, and in both orders; the denominators differ throughout
+    # each differential equals the Fraction route's, its multiple by 1: for
+    # two samples of one chart, for a sample against a fixed point, and in
+    # both orders
     G = get_group(spec)
-    points = [SAMPLE_THIRDS, SAMPLE_HALVES, (0, 0, 0)]
+    points = [(2, -3, 4), (-5, 6, 2), (0, 0, 0)]
     for k, chart_k in enumerate(get_charts(spec)):
         reps = [(build_rep(chart_k, p), build_rep_fractions(chart_k, p)) for p in points]
         for first, second in ((0, 1), (1, 0), (0, 2), (2, 1)):
             (a, ref_a), (b, ref_b) = reps[first], reps[second]
-            assert a.denominator != b.denominator
             got = dense_differentials(koszul_differentials(G, a, b))
             want = dense_differentials(koszul_differentials(G, ref_a, ref_b))
-            for mat, ref in zip(got, want):
-                assert _scalar_multiple(mat, ref), (k, a.coords, b.coords)
+            assert got == want, (k, points[first], points[second])
 
 
 # Serre duality on the pair complex: s_alpha, for alpha = x, y, z, is the sign
@@ -567,13 +541,13 @@ def test_pair_complex_is_serre_dual_at_fixed_points(spec):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_pair_complex_is_serre_dual_at_chart_samples(data):
-    # two chart points, some coordinates zero, their denominators mostly unequal
+    # two chart points, some coordinates zero
     spec = data.draw(st.sampled_from(ROUTE_SPECS))
     G, charts = get_group(spec), get_charts(spec)
     reps = []
     for _ in range(2):
         chart_k = charts[data.draw(st.integers(0, len(charts) - 1))]
-        drawn = data.draw(st.tuples(*[st.one_of(st.just(0), COORD)] * 3))
-        reps.append(build_rep(chart_k, tuple(Fraction(c) for c in drawn)))
+        coords = data.draw(st.tuples(*[st.one_of(st.just(0), COORD)] * 3))
+        reps.append(build_rep(chart_k, coords))
     _assert_serre_dual(G, *reps)
     _assert_serre_dual(G, *reversed(reps))
