@@ -40,7 +40,9 @@ basis of each without elimination.  Those cells cancel, and what is left of d2 i
 built in one pass that skips the cancelled rows and columns and never makes
 a zero entry, then ranked by ``linalg.rank_sparse``.  The cancellation holds
 only on a true complex, so homology refuses a module whose B's do not
-commute (``ModuleRep.commutes``, checked once per module).
+commute (``ModuleRep.commutes``, checked once per module), and the chart
+samples of ``verify`` refuse a pair complex whose d2 d3 or d1 d2 is not
+zero (``square_defect``), which no rank would show.
 """
 
 from __future__ import annotations
@@ -173,7 +175,9 @@ def reduced_homology(cx: Complex) -> tuple[int, int, int, int]:
     rows (d1 is injective on the T coordinates).  So the rank of d2 is the
     rank of d2 with rows T and columns S deleted, which cx.d2 builds in one
     pass, and no entry of d2 needs updating.  The caller must know that cx
-    is a complex.
+    is a complex: at fixed points the modules commute, and verify's
+    chart_samples refuses a sample pair whose d2 d3 or d1 d2 is not zero
+    (square_defect) before it ranks the pair.
     """
     n = len(cx.d1) // 3
     kept = linalg.two_term_basis(cx.d3, n)
@@ -181,6 +185,35 @@ def reduced_homology(cx: Complex) -> tuple[int, int, int, int]:
     residual = cx.d2(set(cut), set(kept))
     r3, r2, r1 = len(kept), linalg.rank_sparse(residual, 3 * n), len(cut)
     return (n - r3, 3 * n - r2 - r3, 3 * n - r1 - r2, n - r1)
+
+
+def square_defect(cx: Complex) -> tuple[str, list[int], int] | None:
+    """The first nonzero cell of d2 d3, else of d1 d2, or None when cx is a complex.
+
+    The cell is [row, column] of the product, numbered by the cells of the
+    complex, first in row order, and comes with the product's name and its
+    value there.  Both products are summed in one pass over the entries of
+    all of d2; a row of d2 d3 is read as soon as it is summed, since every
+    row before it is zero.
+    """
+    d3, n, width = cx.d3, len(cx.d1) // 3, len(cx.d3)
+    cells = [0] * n
+    d1d2 = [0] * (n * width)
+    for i, (row, (s, a, t, b)) in enumerate(zip(cx.d2((), ()), cx.d1)):
+        s, t = s * width, t * width
+        for j, x in row.items():
+            u, c, v, d = d3[j]
+            cells[u] += x * c
+            cells[v] += x * d
+            d1d2[s + j] += a * x
+            d1d2[t + j] += b * x
+        if any(cells):
+            u = next(u for u, value in enumerate(cells) if value)
+            return "d2*d3", [i, u], cells[u]
+    if not any(d1d2):
+        return None
+    k = next(k for k, value in enumerate(d1d2) if value)
+    return "d1*d2", list(divmod(k, width)), d1d2[k]
 
 
 def _require_commuting(*reps: ModuleRep) -> None:

@@ -14,7 +14,7 @@ tuple, and it is reported and counted in checked as a pair of its own
 The wedge complex of each fixed-point module must have the Betti table of
 the enumerated ideal as its homology (fixed_point_betti).  Each chart
 draws one pair of distinct integer sample points, whose pair complex must
-be exact (chart_samples).
+square to zero and be exact (chart_samples).
 What holds by construction is not checked: the identities of the wedge
 matrices (tests/test_mckay.py pins them), and the ADHM relations and
 support on one free orbit of the modules at fixed and sample points
@@ -228,6 +228,9 @@ def _chart_samples_check(charts, seed) -> dict:
     the coordinates.  A fixed-point module built wrong anyway is refused by
     the homology or fails fixed_point_betti.  A sample module whose B's do
     not commute is a failure naming its sample, and its pair is not ranked.
+    Nor is a pair whose complex does not square to zero: the first nonzero
+    cell of d2 d3 or d1 d2 (koszul.square_defect) is a failure naming that
+    product and cell, with the pair as sample [0, 1].
     The two points of a pair are distinct (koszul.sample_chart_points), so
     every chart is checked.
     """
@@ -239,9 +242,16 @@ def _chart_samples_check(charts, seed) -> dict:
         reps = [koszul.build_rep(chart, coords) for coords in points]
         for s, rep in enumerate(reps):
             _compare(failures, {"commutes": rep.commutes}, {"commutes": True}, fixed_point=k, sample=s)
-        if all(rep.commutes for rep in reps):
-            h = koszul.koszul_homology(chart.group, reps[0], reps[1])
-            _compare(failures, list(h), list(KOSZUL_DISTINCT), fixed_point=k, sample=[0, 1])
+        if not all(rep.commutes for rep in reps):
+            continue
+        cx = koszul.koszul_differentials(chart.group, *reps)
+        defect = koszul.square_defect(cx)
+        if defect is None:
+            found, expected = list(koszul.reduced_homology(cx)), list(KOSZUL_DISTINCT)
+        else:
+            product, cell, value = defect
+            found, expected = {product: value, "cell": cell}, {product: 0, "cell": cell}
+        _compare(failures, found, expected, fixed_point=k, sample=[0, 1])
     return _per_object("chart_samples", len(charts), len(charts), failures)
 
 

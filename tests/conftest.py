@@ -1,4 +1,9 @@
-"""Shared fixtures: the suite groups and per-group pipeline data, each computed once."""
+"""Shared fixtures: the per-spec suite and per-group pipeline data, each computed once.
+
+Groups in general come from the census (_census.py); SUITE_3D names the seven groups
+that the per-spec tests of the modules are parametrized by, each a census class up to
+a permutation of coordinates.
+"""
 
 from __future__ import annotations
 

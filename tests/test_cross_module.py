@@ -87,6 +87,9 @@ def _assert_report_passes(gens):
     assert not {"fail", "empty"} & set(statuses.values()), statuses
 
 
+# Presentations as Hypothesis draws them, which the census never writes: a
+# generator of order r whose weights share a factor with r, or a second
+# generator inside the group of the first
 @settings(max_examples=25, deadline=None)
 @given(gen=sl3_generators(12))
 def test_full_report_passes_on_random_cyclic_specs(gen):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from _census import specs
 from _oracles import (
     complement_box_scan,
     count_identity_value,
@@ -82,7 +83,7 @@ def test_complement_column_walk_matches_box_scan(i):
     assert complement(i) == complement_box_scan(i)
 
 
-WALK_SPECS = ["3:1,1,1", "6:1,5,0", "2:1,1,0;2:1,0,1"]
+WALK_SPECS = specs(6)
 
 
 # a fixed point of 3:1,1,1 held by unsorted generators, one of them repeated

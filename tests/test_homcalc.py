@@ -7,6 +7,8 @@ from conftest import SUITE_3D, get_fixed_points, get_group
 from ghilb.ggraph import mono_lcm, mono_mul
 from ghilb.homcalc import hom_constraints, hom_dim, hom_matrix
 
+# The dense oracle's reach: it solves a system over every monomial of degree
+# up to 3|G|, so it stays at orders up to 10
 ORACLE_SPECS = [spec for spec, order in SUITE_3D if order <= 10] + [
     "6:1,5,0",
     "3:1,2,0;3:0,1,2",

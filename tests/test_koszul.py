@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _census import specs
 from _oracles import (
     all_b_invertible,
     build_rep_fractions,
@@ -100,7 +101,7 @@ def test_cone_of_another_fixed_point_is_refused(spec):
 
 
 def test_fixed_point_rep_is_staircase_truncation():
-    for spec in SMALL_SPECS:
+    for spec in specs(6):
         for k, gg in enumerate(get_fixed_points(spec)):
             rep = build_rep(get_charts(spec)[k], (0, 0, 0))
             b, _ = dense_matrices(rep)
@@ -164,7 +165,7 @@ def test_cyclicity_fails_without_seed_reachability():
 
 
 def test_nil_complex_exact_at_invertible_points():
-    for spec in SMALL_SPECS:
+    for spec in specs(9):
         for k, chart_k in enumerate(get_charts(spec)):
             rng = seeded_rng(23, k)
             point = sample_chart_points(1, rng)[0]
@@ -217,22 +218,6 @@ def test_chart_point_against_itself_with_a_zero_weight():
         k3, k2, k1 = dense_differentials(koszul_differentials(G, rep, rep))
         assert not any(any(row) for row in mat_mul(k2, k3))
         assert not any(any(row) for row in mat_mul(k1, k2))
-
-
-@pytest.mark.parametrize("spec", SMALL_SPECS)
-def test_koszul_homology_fixed_pairs(spec):
-    G = get_group(spec)
-    reps = [build_rep(c, (0, 0, 0)) for c in get_charts(spec)]
-    table = {}
-    for i, rep1 in enumerate(reps):
-        for j, rep2 in enumerate(reps):
-            h = koszul_homology(G, rep1, rep2)
-            table[(i, j)] = h
-            assert h == ((1, 3, 3, 1) if i == j else (0, 0, 0, 0))
-            h3, h2, h1, h0 = h
-            assert h3 - h2 + h1 - h0 == 0
-    for (i, j), h in table.items():
-        assert h[2] == table[(j, i)][1]  # h1(i,j) = h2(j,i)
 
 
 def test_same_chart_distinct_points_are_exact():
@@ -367,7 +352,7 @@ def test_non_commuting_module_is_refused():
         cpxnil_homology(broken)
 
 
-HOMOLOGY_SPECS = ["2:1,1,0", "3:1,1,1", "5:1,2,2", "6:1,5,0", "7:1,2,4", "2:1,1,0;2:1,0,1"]
+HOMOLOGY_SPECS = specs(7)
 VALUE = st.sampled_from((1, -1, 2, -2, 3))
 
 
@@ -456,7 +441,7 @@ def test_fixed_point_betti_names_planted_defects():
 
 
 COORD = st.sampled_from((1, -1, 2, -2, 3, -4, 5))
-ROUTE_SPECS = HOMOLOGY_SPECS + ["3:1,2,0;3:0,1,2"]
+ROUTE_SPECS = specs(9)
 
 
 @settings(max_examples=100, deadline=None)

@@ -24,8 +24,9 @@ def test_seven_quiver_structure():
             assert a1[k][l] == expected
 
 
-# SUITE_3D and every group of the CI verify smoke: the report does not
-# check these identities, which hold by construction
+# SUITE_3D and groups of each shape up to order 53: the report does not
+# check these identities, which hold by construction; test_acceptance's
+# criterion 6 checks them on every census group up to order 16
 @pytest.mark.parametrize(
     "spec,order",
     SUITE_3D
